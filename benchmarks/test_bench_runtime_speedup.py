@@ -54,10 +54,9 @@ SWEEP_SAMPLES = 1 << 13
 #: Kernel-speedup workload: one paper-length modulator run.
 KERNEL_SAMPLES = 1 << 16
 
-#: Floor the pure-Python kernel clears comfortably; the committed
-#: baseline gates the stricter 10x figure on the numba-enabled CI
-#: bench job, where a JIT silently falling back to the generated
-#: Python loop fails the gate.
+#: Floor this bench asserts itself.  ``repro bench-gate`` holds the
+#: recorded speedup to the ``min_speedup: 6.0`` floor committed in
+#: ``baselines/bench.json``, whether or not numba JIT is active.
 MIN_KERNEL_SPEEDUP = 5.0
 
 
@@ -188,8 +187,9 @@ def test_bench_runtime_speedup_snr_sweep(benchmark):
     frequency = coherent_frequency(2e3, MODULATOR_CLOCK, SWEEP_SAMPLES)
 
     # force_scalar pins the per-sample parity oracle: without it the
-    # lane runs would take the single-run fast path, and the measured
-    # figure would be batch-vs-fast-path, not batch-vs-scalar-loop.
+    # lane runs would take the compiled kernel on the auto engine, and
+    # the measured figure would be batch-vs-kernel, not
+    # batch-vs-scalar-loop.
     t0 = time.perf_counter()
     modulator = SIModulator2(
         cell_config=paper_cell_config(sample_rate=MODULATOR_CLOCK)

@@ -1,9 +1,11 @@
-"""Extension: wall-time of the single-run fast path vs the scalar loop.
+"""Extension: wall-time of the single-run kernel vs the scalar loop.
 
-The single-run fast path (:mod:`repro.runtime.single`) is what
-``repro report``, the :class:`~repro.systems.TestBench` and every
-telemetry design run through; its contract is byte-identity with the
-per-sample scalar loop at a large wall-time win.  This bench measures
+The compiled kernel (:mod:`repro.runtime.kernels`, reached through
+:func:`repro.runtime.single.run_single` on the default ``auto``
+engine) is what ``repro report``, the
+:class:`~repro.systems.TestBench` and every telemetry design run
+through; its contract is byte-identity with the per-sample scalar
+loop at a large wall-time win.  This bench measures
 both for each baseline design, plus the polyphase
 :class:`~repro.deltasigma.decimator.SincDecimator` against its
 full-rate convolution reference at the paper's OSR of 128.
@@ -26,7 +28,7 @@ from repro.reporting.tables import Table
 from repro.runtime.single import consume_fallbacks, force_scalar
 from repro.telemetry.designs import TRACE_DESIGNS, build_trace_setup
 
-#: Floor on the fast-path-vs-scalar speedup every design asserts (the
+#: Floor on the kernel-vs-scalar speedup every design asserts (the
 #: committed ``baselines/bench.json`` gates the same figure in CI).
 MIN_SPEEDUP = 3.0
 
@@ -55,13 +57,13 @@ def _run_single_run_bench(benchmark, design: str) -> None:
         scalar_output = scalar_device(stimulus)
     scalar_s = time.perf_counter() - t0
 
-    fast_device = setup.build(None)
+    kernel_device = setup.build(None)
     consume_fallbacks()
     t0 = time.perf_counter()
-    fast_output = fast_device(stimulus)
-    fast_s = time.perf_counter() - t0
+    kernel_output = kernel_device(stimulus)
+    kernel_s = time.perf_counter() - t0
     fallbacks = consume_fallbacks()
-    speedup = scalar_s / fast_s
+    speedup = scalar_s / kernel_s
 
     run_once(
         benchmark,
@@ -75,23 +77,23 @@ def _run_single_run_bench(benchmark, design: str) -> None:
         ("path", "wall", "speedup"),
     )
     table.add_row("scalar loop", f"{scalar_s * 1e3:.1f} ms", "1.0x")
-    table.add_row("fast path", f"{fast_s * 1e3:.1f} ms", f"{speedup:.1f}x")
+    table.add_row("kernel", f"{kernel_s * 1e3:.1f} ms", f"{speedup:.1f}x")
     print()
     print(table.render())
 
     comparison = PaperComparison()
     comparison.add(
         "runtime engine",
-        f"{design} fast path identical to scalar loop",
+        f"{design} kernel identical to scalar loop",
         "bit-identical output",
         "identical"
-        if fast_output.tobytes() == scalar_output.tobytes()
+        if kernel_output.tobytes() == scalar_output.tobytes()
         else "DIVERGED",
-        fast_output.tobytes() == scalar_output.tobytes(),
+        kernel_output.tobytes() == scalar_output.tobytes(),
     )
     comparison.add(
         "runtime engine",
-        f"{design} fast path engaged (no fallback)",
+        f"{design} kernel engaged (no fallback)",
         "0 fallbacks",
         f"{len(fallbacks)} fallbacks",
         not fallbacks,

@@ -1,22 +1,24 @@
-"""Batch-execution engine: vectorized lanes, parallel shards, result cache.
+"""Execution engines: compiled kernels, vectorized lanes, parallel shards.
 
 The per-sample device loops in :mod:`repro.si` and
-:mod:`repro.deltasigma` are exact but slow: every amplitude-sweep
-level and every Monte-Carlo trial re-runs the same Python loop.  This
-package executes *independent lanes* (sweep points, Monte-Carlo draws,
-process corners) side by side:
+:mod:`repro.deltasigma` are exact but slow, and they stay in the tree
+as the parity oracle.  This package runs the same dynamics faster,
+bit for bit:
 
-* :mod:`repro.runtime.kernels` -- the elementwise class-AB store
-  pipeline (translinear split, transmission error, charge injection,
-  two-regime GGA settling) evaluated on whole lane arrays;
-* :mod:`repro.runtime.batch` -- batch runners that lower a scalar
-  device (memory cell, delay line, biquad cascade, all three
-  modulators) into fused kernel calls, bit-identical to the scalar
-  loop;
-* :mod:`repro.runtime.single` -- the lane-of-1 single-run fast path:
-  fused pure-Python loops (no per-sample allocations or dispatch) that
-  every device ``run`` method tries first, bit-identical to the scalar
-  loop, with :func:`force_scalar` as the parity oracle;
+* :mod:`repro.runtime.single` -- the dispatch every device ``run``
+  method calls first: it runs the selected engine rung, with
+  :func:`force_scalar` pinning the scalar oracle and
+  :func:`consume_fallbacks` reporting refusals;
+* :mod:`repro.runtime.engine` -- :func:`~repro.runtime.engine.use_engine`
+  pins a rung (``auto``, ``scalar``, ``batch``, ``kernel``);
+* :mod:`repro.runtime.kernels` -- each design lowered to a
+  ``KernelSpec`` and compiled into one fused recurrence (the only
+  single-run lowering), plus the elementwise class-AB store pipeline
+  evaluated on whole lane arrays;
+* :mod:`repro.runtime.batch` -- batch runners that execute *independent
+  lanes* (sweep points, Monte-Carlo draws, process corners) of a
+  memory cell, delay line, biquad cascade or any of the three
+  modulators side by side;
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, sharding
   lanes across a ``ProcessPoolExecutor`` with chunking, per-task
   timeouts and deterministic ``SeedSequence.spawn`` seeding;
@@ -27,8 +29,8 @@ process corners) side by side:
 * :mod:`repro.runtime.montecarlo` -- vectorized CMFF mismatch trials.
 
 The determinism contract (see ``docs/RUNTIME.md``): for supported
-configurations the batch engine reproduces the scalar path *bit for
-bit*, at any ``--jobs`` value.
+configurations every rung reproduces the scalar path *bit for bit*,
+at any ``--jobs`` value.
 """
 
 from repro.runtime.batch import (

@@ -1,23 +1,20 @@
 """Engine selection for single-device runs.
 
-Every supported device executes bit-identically on four rungs:
+Every supported device executes bit-identically on three rungs:
 
 * ``scalar`` -- the original per-sample Python loop (the parity
-  oracle; what :func:`repro.runtime.single.force_scalar` runs);
-* ``single`` -- the fused pure-Python fast path (an ``auto``-ladder
-  rung, not directly selectable);
+  oracle; :func:`repro.runtime.single.force_scalar` pins it);
 * ``batch`` -- the NumPy lane engine at ``n_lanes == 1``;
 * ``kernel`` -- the compiled state-space kernel tier
   (:mod:`repro.runtime.kernels`), optionally numba-JIT.
 
 :func:`use_engine` pins the rung for runs inside the block; the
-default ``auto`` climbs the refusal ladder kernel -> fused fast path
--> scalar, falling down one rung per named refusal.  The selection is
-process-local (sweep worker processes inherit it via the spec, not
-this stack) and every executed run is counted in the
-``repro.engine.runs`` instrument, labelled by engine and device type,
-so manifests and bench telemetry can attribute timings to the rung
-that actually ran.
+default ``auto`` runs the kernel and drops to scalar, with a named
+refusal, when the device cannot lower.  The selection is process-local
+(sweep worker processes inherit it via the spec, not this stack) and
+every executed run is counted in the ``repro.engine.runs`` instrument,
+labelled by engine and device type, so manifests and bench telemetry
+can attribute timings to the rung that actually ran.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from contextlib import contextmanager
 
 __all__ = ["ENGINES", "current_engine", "use_engine", "record_engine_run"]
 
-#: Selectable engines, in refusal-ladder order for ``auto``.
+#: Selectable engines: the ``auto`` default, then the three rungs.
 ENGINES: tuple[str, ...] = ("auto", "scalar", "batch", "kernel")
 
 _stack: list[str] = ["auto"]
@@ -45,7 +42,7 @@ def use_engine(engine: str) -> Iterator[None]:
     ``scalar`` forces the per-sample oracle, ``batch``/``kernel`` pin
     one lowered rung (falling back to scalar with a recorded refusal
     when the device cannot lower), and ``auto`` restores the default
-    ladder.  Nestable; the innermost selection wins.
+    (kernel, else scalar).  Nestable; the innermost selection wins.
     """
     if engine not in ENGINES:
         raise ValueError(

@@ -94,8 +94,10 @@ def _emit_store(
     """Emit the fused ``_store_half`` body with the cell's literals.
 
     Line-for-line transliteration of
-    :func:`repro.runtime.single._store_half_fn`'s closure, with every
-    hoisted constant inlined as a literal.
+    :meth:`repro.si.memory_cell.ClassABMemoryCell._store_half` (the
+    translinear split, transmission error, charge-injection residue
+    and two-regime GGA settling), with every constant inlined as a
+    literal.
     """
     iq = _lit(cell.iq_squared)
     bias = _lit(cell.bias)

@@ -39,9 +39,11 @@ def _probe() -> tuple[Callable[..., Any] | None, str]:
         njit = numba.njit(cache=False)
 
         @njit
-        def _exp_loop(xs: Any, out: Any) -> None:  # pragma: no cover
+        def _exp_loop(xs: Any) -> Any:  # pragma: no cover
+            out = np.empty_like(xs)
             for i in range(xs.shape[0]):
                 out[i] = np.exp(xs[i])
+            return out
 
         grid = np.concatenate(
             [
@@ -49,8 +51,7 @@ def _probe() -> tuple[Callable[..., Any] | None, str]:
                 np.linspace(-30.0, 0.0, 2048),
             ]
         )
-        jit_out = np.empty_like(grid)
-        _exp_loop(grid, jit_out)
+        jit_out = _exp_loop(grid)
         reference = np.exp(grid)
         if jit_out.tobytes() != reference.tobytes():
             mismatches = int(

@@ -2,7 +2,7 @@
 
 The compiled kernel tier executes a device by *transliterating* its
 configuration, never its Python methods -- the same contract the batch
-engine and the single-run fast path already honour.  This module is
+engine already honours.  This module is
 the lowering step: :func:`build_spec` walks a freshly built device,
 re-checks the declared lowering protocol
 (:mod:`repro.runtime.lowering`), and freezes every constant the run

@@ -1,7 +1,7 @@
 """The declared lowering protocol: which subclasses still batch.
 
-The batch engine (:mod:`repro.runtime.batch`) and the single-run fast
-path (:mod:`repro.runtime.single`) do not *execute* a device's Python
+The batch engine (:mod:`repro.runtime.batch`) and the compiled kernel
+tier (:mod:`repro.runtime.kernels`) do not *execute* a device's Python
 methods -- they transliterate its configuration into fused kernels.
 That is what makes them bit-exact, and it is also why subclassing is
 dangerous: a subclass that overrides a behavioural hook (``run``,

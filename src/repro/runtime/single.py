@@ -1,64 +1,37 @@
-"""Lane-of-1 single-run fast path for the scalar device loops.
+"""Single-run dispatch: every device ``run()`` routes through here.
 
-The batch engine (:mod:`repro.runtime.batch`) wins by running many
-lanes side by side, but at ``n_lanes == 1`` the per-step numpy
-dispatch overhead makes it *slower* than the plain Python loop.  This
-module closes the single-run gap differently: each supported device is
-lowered onto a fused pure-Python loop with every per-step abstraction
-removed -- no :class:`~repro.si.differential.DifferentialSample`
-allocations, no method dispatch, no per-sample RNG calls -- while
-reproducing the scalar pipeline operation for operation.
+Each supported device's ``run`` method calls :func:`run_single` first
+and falls through to its own per-sample scalar loop when that returns
+``None``.  The engine pinned by :func:`repro.runtime.engine.use_engine`
+picks the rung:
 
-The contract is the same as the batch engine's: **bit-exactness**.
-Every arithmetic expression below mirrors the scalar source (same
-association, same branch structure, ``exp`` through numpy's scalar
-kernel), and all randomness is consumed from the devices' own live
-streams (the memory cell's noise feed, the quantiser's metastability
-stream, the DAC's reference-noise stream) via their chunked ``take``
-methods, which advance the streams exactly as the scalar loop would.
-Device state (stored samples, step/slew counters, quantiser
-hysteresis) is written back after the run, so fast-path and scalar
-runs can be interleaved freely.
+* ``auto`` (the default) and ``kernel`` run the compiled state-space
+  kernel (:mod:`repro.runtime.kernels`), the only single-run lowering;
+* ``batch`` runs the NumPy lane engine at ``n_lanes == 1``;
+* ``scalar`` always declines, leaving the device on its scalar loop.
 
-Attached telemetry probes are lowered too: per-step observations are
-buffered and folded in with
-:meth:`~repro.telemetry.probes.SignalProbe.observe_array` after the
-loop (identical count/min/max/clip statistics; mean and RMS agree to
-summation-order rounding).
+Whatever rung runs is **bit-identical** to the scalar loop: it leaves
+the devices' own random streams where the per-sample loop would and
+writes device state (stored samples, step/slew counters, quantiser
+hysteresis) back after the run, so lowered and scalar runs interleave
+freely.  Attached telemetry probes are lowered too.
 
 The scalar loop remains the *parity oracle*: wrap a run in
-:func:`force_scalar` to execute the original per-sample path, and use
-:func:`consume_fallbacks` to check which runs (if any) refused the
-fast path and why.  See ``docs/RUNTIME.md`` ("Single-run fast path").
+:func:`force_scalar` (the same pin as ``use_engine("scalar")``) to
+execute it, and use :func:`consume_fallbacks` to check which runs (if
+any) refused a lowered rung and why.  See ``docs/RUNTIME.md`` ("The
+engine ladder").
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any
+from contextlib import AbstractContextManager
 
 import numpy as np
 
-from repro.deltasigma.dac import FeedbackDac
-from repro.deltasigma.dither import DitheredQuantizer
 from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.devices.current_mirror import CurrentMirror
-from repro.runtime.engine import current_engine, record_engine_run
-from repro.runtime.lowering import probe_refusal
-from repro.si.cmff import CommonModeFeedforward
+from repro.runtime.engine import current_engine, record_engine_run, use_engine
 from repro.si.differential import DifferentialSample
-from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-    from repro.deltasigma.modulator1 import SIModulator1
-    from repro.deltasigma.modulator2 import SIModulator2
-    from repro.si.cascade import BiquadCascade
-    from repro.si.delay_line import DelayLine
-    from repro.si.differentiator import SIDifferentiator
-    from repro.si.integrator import SIIntegrator
 
 __all__ = ["run_single", "force_scalar", "consume_fallbacks"]
 
@@ -67,31 +40,23 @@ __all__ = ["run_single", "force_scalar", "consume_fallbacks"]
 _MAX_FALLBACKS = 1024
 
 _fallbacks: list[str] = []
-_force_depth = 0
 
 
-@contextmanager
-def force_scalar() -> Iterator[None]:
-    """Disable the fast path inside the block (the parity oracle).
+def force_scalar() -> AbstractContextManager[None]:
+    """Pin the per-sample scalar loop inside the block (the parity oracle).
 
-    Runs executed under ``force_scalar`` take the original per-sample
-    scalar loop and do **not** count as fallbacks.
+    The same pin as ``use_engine("scalar")``: runs inside the block
+    count as ``scalar`` in ``repro.engine.runs`` and are not fallbacks.
     """
-    global _force_depth
-    _force_depth += 1
-    try:
-        yield
-    finally:
-        _force_depth -= 1
+    return use_engine("scalar")
 
 
 def consume_fallbacks() -> list[str]:
-    """Return and clear the recorded fast-path refusal reasons.
+    """Return and clear the recorded lowering refusal reasons.
 
     Each entry is ``"<DeviceType>: <reason>"`` for one ``run_single``
-    call that could not take the fast path (forced-scalar runs are not
-    recorded).  An empty list means every routed run stayed on the
-    fast path.
+    call whose lowered rung refused the run (scalar-pinned runs are
+    not recorded).  An empty list means every routed run was lowered.
     """
     global _fallbacks
     out = _fallbacks
@@ -102,852 +67,25 @@ def consume_fallbacks() -> list[str]:
 def _note(device: object, reason: str) -> None:
     if len(_fallbacks) < _MAX_FALLBACKS:
         _fallbacks.append(f"{type(device).__name__}: {reason}")
-    # Imported lazily to keep the fast path's module-import footprint
-    # (and the hot accept path) free of registry machinery.
+    # Imported lazily to keep the module-import footprint (and the hot
+    # accept path) free of registry machinery.
     from repro.observability.instruments import get_registry
 
     get_registry().counter(
         "repro.single.fallbacks",
-        help="single runs that refused the fast path",
+        help="single runs that refused the kernel (or a pinned batch rung)",
     ).inc(device=type(device).__name__)
     return None
 
 
-# ---------------------------------------------------------------------------
-# Fused primitives
-
-
-def _store_half_fn(config: MemoryCellConfig) -> Callable[[float, float], tuple[float, bool]]:
-    """Return a fused ``(previous, target) -> (settled, slewed)`` closure.
-
-    Transliteration of ``ClassABMemoryCell._store_half`` (translinear
-    split, transmission error, charge-injection residue, two-regime GGA
-    settling) with every constant hoisted.  ``exp`` goes through
-    ``np.exp`` exactly as :func:`repro.si.gga._exp` does, so the result
-    is bit-identical to the scalar pipeline.
-    """
-    iq = config.quiescent_current
-    iq_sq = iq * iq
-    trans = config.transmission
-    t_eff = trans.effective_ratio
-    t_iq = trans.quiescent_current
-    t_floor = 1e-3 * t_iq
-    inj = config.injection
-    j_res = inj.residual_at_quiescent
-    j_iq = inj.quiescent_current
-    j_floor = 1e-3 * j_iq
-    gga = config.gga
-    kick = gga.phase_kick_fraction
-    bias = gga.bias_current
-    tau_fraction = gga.settling_tau_fraction
-    m_floor = gga.drive_margin_floor
-    sqrt = math.sqrt
-    exp = np.exp
-
-    def store_half(previous: float, target: float) -> tuple[float, bool]:
-        half = 0.5 * target
-        root = sqrt(half * half + iq_sq)
-        if half >= 0.0:
-            device_n = half + root
-        else:
-            device_n = iq_sq / (root - half)
-        current = device_n if device_n >= t_floor else t_floor
-        value = target * (1.0 - t_eff * sqrt(t_iq / current))
-        current = device_n if device_n >= j_floor else j_floor
-        value += j_res * sqrt(current / j_iq)
-        delta = value - previous + kick * value
-        if delta == 0.0:
-            return value, False
-        margin = 1.0 - abs(value) / bias
-        if margin < m_floor:
-            margin = m_floor
-        n_tau = margin / tau_fraction
-        magnitude = abs(delta)
-        if magnitude <= bias:
-            return value - delta * float(exp(-n_tau)), False
-        sign = 1.0 if delta > 0.0 else -1.0
-        slew_tau = (magnitude - bias) / bias
-        if slew_tau >= n_tau:
-            residual = sign * (magnitude - bias * n_tau)
-        else:
-            residual = sign * bias * float(exp(-(n_tau - slew_tau)))
-        return value - residual, True
-
-    return store_half
-
-
-def _cmff_fn(cmff: CommonModeFeedforward) -> Callable[[float, float], tuple[float, float]]:
-    """Return a fused ``(pos, neg) -> (pos, neg)`` CMFF closure.
-
-    Mirrors ``CommonModeFeedforward.apply`` with the mirror gains
-    precomputed; the ``output_conductance * 0.0`` bias terms are kept
-    because adding ``+0.0`` normalises a ``-0.0`` product exactly as
-    the scalar mirrors do.
-    """
-    sp_g = cmff.sense_pos.gain
-    sp_b = cmff.sense_pos.output_conductance * 0.0
-    sn_g = cmff.sense_neg.gain
-    sn_b = cmff.sense_neg.output_conductance * 0.0
-    up_g = cmff.subtract_pos.gain
-    up_b = cmff.subtract_pos.output_conductance * 0.0
-    un_g = cmff.subtract_neg.gain
-    un_b = cmff.subtract_neg.output_conductance * 0.0
-
-    def apply(pos: float, neg: float) -> tuple[float, float]:
-        i_cm = (sp_g * pos + sp_b) + (sn_g * neg + sn_b)
-        return pos - (up_g * i_cm + up_b), neg - (un_g * i_cm + un_b)
-
-    return apply
-
-
-# ---------------------------------------------------------------------------
-# Eligibility checks (run before any stream is consumed)
-
-
-def _cell_reason(cell: object) -> str | None:
-    if type(cell) is not ClassABMemoryCell:
-        return f"unsupported memory cell type {type(cell).__name__}"
-    if cell._probe is not None:
-        reason = probe_refusal(cell._probe)
-        if reason is not None:
-            return reason
-    return None
-
-
-def _stage_reason(stage: "SIIntegrator | SIDifferentiator") -> str | None:
-    reason = _cell_reason(stage._cell)
-    if reason is not None:
-        return reason
-    cmff = stage.cmff
-    if cmff is None:
-        return None
-    if type(cmff) is not CommonModeFeedforward:
-        return f"unsupported CMFF type {type(cmff).__name__}"
-    for mirror in (cmff.sense_pos, cmff.sense_neg, cmff.subtract_pos, cmff.subtract_neg):
-        if type(mirror) is not CurrentMirror:
-            return f"unsupported mirror type {type(mirror).__name__}"
-    if cmff._probe is not None:
-        reason = probe_refusal(cmff._probe)
-        if reason is not None:
-            return reason
-    return None
-
-
-def _loop_reason(quantizer: object, dac: object) -> str | None:
-    qtype = type(quantizer)
-    if qtype is not CurrentQuantizer and qtype is not DitheredQuantizer:
-        return f"unsupported quantizer type {qtype.__name__}"
-    if type(dac) is not FeedbackDac:
-        return f"unsupported DAC type {type(dac).__name__}"
-    return None
-
-
-def _dither_draws(quantizer: object, n: int) -> tuple[float, list[float]]:
-    """Return ``(dither_rms, n pre-drawn dither values)`` for a loop run.
-
-    Zero RMS (including the plain :class:`CurrentQuantizer`) draws
-    nothing, exactly like the scalar ``decide``.
-    """
-    if type(quantizer) is DitheredQuantizer and quantizer.dither_rms > 0.0:
-        return quantizer.dither_rms, quantizer._dither.take(n).tolist()
-    return 0.0, []
-
-
-# ---------------------------------------------------------------------------
-# Fused integrator/differentiator stage (cascade path; the modulator
-# runners inline the same arithmetic with plain locals for speed)
-
-
-class _FusedStage:
-    """One integrator or differentiator stage lowered to plain floats."""
-
-    __slots__ = (
-        "pos",
-        "neg",
-        "_stage",
-        "_store",
-        "_gain",
-        "_crossed",
-        "_mm",
-        "_fp",
-        "_fn",
-        "_noise",
-        "_idx",
-        "_slews",
-        "_apply_cmff",
-        "_cell_buf",
-        "_cmff_buf",
-    )
-
-    def __init__(
-        self, stage: "SIIntegrator | SIDifferentiator", n_steps: int, crossed: bool
-    ) -> None:
-        cell = stage._cell
-        config = cell.config
-        self._stage = stage
-        self._store = _store_half_fn(config)
-        self._gain = stage.gain
-        self._crossed = crossed
-        self._mm = config.half_gain_mismatch
-        self._fp = 1.0 + 0.5 * self._mm
-        self._fn = 1.0 - 0.5 * self._mm
-        self._noise: list[float] = cell._noise.take(n_steps).tolist()
-        self._idx = 0
-        self._slews = 0
-        cmff = stage.cmff
-        self._apply_cmff = _cmff_fn(cmff) if cmff is not None else None
-        self._cell_buf: list[float] | None = [] if cell._probe is not None else None
-        self._cmff_buf: list[float] | None = (
-            [] if cmff is not None and cmff._probe is not None else None
-        )
-        self.pos = cell._stored.pos
-        self.neg = cell._stored.neg
-
-    def step(self, u_pos: float, u_neg: float) -> None:
-        pos = self.pos
-        neg = self.neg
-        gain = self._gain
-        if self._crossed:
-            t_pos = neg + u_pos * gain
-            t_neg = pos + u_neg * gain
-        else:
-            t_pos = pos + u_pos * gain
-            t_neg = neg + u_neg * gain
-        apply_cmff = self._apply_cmff
-        if apply_cmff is not None:
-            t_pos, t_neg = apply_cmff(t_pos, t_neg)
-            if self._cmff_buf is not None:
-                self._cmff_buf.append(0.5 * (t_pos + t_neg))
-        if self._cell_buf is not None:
-            self._cell_buf.append(t_pos - t_neg)
-        store = self._store
-        new_pos, slew_p = store(pos, t_pos)
-        new_neg, slew_n = store(neg, t_neg)
-        if self._mm != 0.0:
-            new_pos *= self._fp
-            new_neg *= self._fn
-        nz = self._noise[self._idx]
-        self._idx += 1
-        self.pos = new_pos + 0.5 * nz
-        self.neg = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            self._slews += 1
-
-    def finalize(self) -> None:
-        cell = self._stage._cell
-        cell._stored = DifferentialSample(self.pos, self.neg)
-        cell._steps += self._idx
-        cell._slew_events += self._slews
-        if self._cell_buf is not None and self._cell_buf and cell._probe is not None:
-            cell._probe.observe_array(np.array(self._cell_buf))
-        cmff = self._stage.cmff
-        if (
-            self._cmff_buf is not None
-            and self._cmff_buf
-            and cmff is not None
-            and cmff._probe is not None
-        ):
-            cmff._probe.observe_array(np.array(self._cmff_buf))
-
-
-# ---------------------------------------------------------------------------
-# Device runners
-
-
-def _run_memory_cell(device: ClassABMemoryCell, data: np.ndarray) -> np.ndarray | None:
-    if data.ndim != 1:
-        return _note(device, "input is not 1-D")
-    reason = _cell_reason(device)
-    if reason is not None:
-        return _note(device, reason)
-    n = data.shape[0]
-    config = device.config
-    store = _store_half_fn(config)
-    mm = config.half_gain_mismatch
-    fp = 1.0 + 0.5 * mm
-    fn = 1.0 - 0.5 * mm
-    inverting = config.inverting
-    noise: list[float] = device._noise.take(n).tolist()
-    probe = device._probe
-    probe_buf: list[float] | None = [] if probe is not None else None
-    xs: list[float] = data.tolist()
-    pos = device._stored.pos
-    neg = device._stored.neg
-    slews = 0
-    out: list[float] = []
-    append = out.append
-    for i in range(n):
-        half = 0.5 * xs[i]
-        s_pos = 0.0 + half
-        s_neg = 0.0 - half
-        if probe_buf is not None:
-            probe_buf.append(s_pos - s_neg)
-        new_pos, slew_p = store(pos, s_pos)
-        new_neg, slew_n = store(neg, s_neg)
-        if mm != 0.0:
-            new_pos *= fp
-            new_neg *= fn
-        nz = noise[i]
-        if inverting:
-            append((-pos) - (-neg))
-        else:
-            append(pos - neg)
-        pos = new_pos + 0.5 * nz
-        neg = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews += 1
-    device._stored = DifferentialSample(pos, neg)
-    device._steps += n
-    device._slew_events += slews
-    if probe is not None and probe_buf:
-        probe.observe_array(np.array(probe_buf))
-    return np.array(out)
-
-
-def _run_delay_line(device: "DelayLine", data: np.ndarray) -> np.ndarray | None:
-    if data.ndim != 1:
-        return _note(device, "input is not 1-D")
-    for cell in device.cells:
-        reason = _cell_reason(cell)
-        if reason is not None:
-            return _note(device, reason)
-    n = data.shape[0]
-    cells = device.cells
-    k = len(cells)
-    stores = [_store_half_fn(c.config) for c in cells]
-    mms = [c.config.half_gain_mismatch for c in cells]
-    fps = [1.0 + 0.5 * m for m in mms]
-    fns = [1.0 - 0.5 * m for m in mms]
-    invs = [c.config.inverting for c in cells]
-    noises: list[list[float]] = [c._noise.take(n).tolist() for c in cells]
-    bufs: list[list[float] | None] = [
-        [] if c._probe is not None else None for c in cells
-    ]
-    ps = [c._stored.pos for c in cells]
-    ns = [c._stored.neg for c in cells]
-    slews = [0] * k
-    xs: list[float] = data.tolist()
-    out: list[float] = []
-    append = out.append
-    indices = range(k)
-    for i in range(n):
-        half = 0.5 * xs[i]
-        v_pos = 0.0 + half
-        v_neg = 0.0 - half
-        for j in indices:
-            buf = bufs[j]
-            if buf is not None:
-                buf.append(v_pos - v_neg)
-            held_p = ps[j]
-            held_n = ns[j]
-            store = stores[j]
-            new_pos, slew_p = store(held_p, v_pos)
-            new_neg, slew_n = store(held_n, v_neg)
-            if mms[j] != 0.0:
-                new_pos *= fps[j]
-                new_neg *= fns[j]
-            nz = noises[j][i]
-            ps[j] = new_pos + 0.5 * nz
-            ns[j] = new_neg - 0.5 * nz
-            if slew_p or slew_n:
-                slews[j] += 1
-            if invs[j]:
-                v_pos = -held_p
-                v_neg = -held_n
-            else:
-                v_pos = held_p
-                v_neg = held_n
-        append(v_pos - v_neg)
-    for j in indices:
-        cell = cells[j]
-        cell._stored = DifferentialSample(ps[j], ns[j])
-        cell._steps += n
-        cell._slew_events += slews[j]
-        buf = bufs[j]
-        if buf is not None and buf and cell._probe is not None:
-            cell._probe.observe_array(np.array(buf))
-    return np.array(out)
-
-
-def _run_cascade(device: "BiquadCascade", data: np.ndarray) -> np.ndarray | None:
-    if data.ndim != 1:
-        return _note(device, "input is not 1-D")
-    for section in device.sections:
-        for stage in (section._int1, section._int2):
-            reason = _stage_reason(stage)
-            if reason is not None:
-                return _note(device, reason)
-    n = data.shape[0]
-    sections = device.sections
-    k1s = [s.k1 for s in sections]
-    k2s = [s.k2 for s in sections]
-    qs = [s.q for s in sections]
-    firsts = [_FusedStage(s._int1, n, crossed=False) for s in sections]
-    seconds = [_FusedStage(s._int2, n, crossed=False) for s in sections]
-    xs: list[float] = data.tolist()
-    out: list[float] = []
-    append = out.append
-    indices = range(len(sections))
-    for i in range(n):
-        signal = xs[i]
-        for s in indices:
-            first = firsts[s]
-            second = seconds[s]
-            w1 = first.pos - first.neg
-            w2 = second.pos - second.neg
-            u1 = k1s[s] * (signal - qs[s] * w1 - w2)
-            u2 = k2s[s] * w1
-            u1_half = 0.5 * u1
-            first.step(0.0 + u1_half, 0.0 - u1_half)
-            u2_half = 0.5 * u2
-            second.step(0.0 + u2_half, 0.0 - u2_half)
-            signal = w1
-        append(signal)
-    for s in indices:
-        firsts[s].finalize()
-        seconds[s].finalize()
-    return np.array(out)
-
-
-def _run_modulator1(device: "SIModulator1", data: np.ndarray) -> np.ndarray | None:
-    integrator = device._integrator
-    reason = _stage_reason(integrator) or _loop_reason(device.quantizer, device.dac)
-    if reason is not None:
-        return _note(device, reason)
-    n = data.shape[0]
-    a = device.a
-    full_scale = device.full_scale
-    quantizer = device.quantizer
-    offset = quantizer.offset
-    hyst = quantizer.hysteresis
-    band = quantizer.metastability_band
-    last = quantizer._last_decision
-    meta: list[float] = quantizer._stream.take(n).tolist() if band > 0.0 else []
-    drms, dith = _dither_draws(quantizer, n)
-    dac = device.dac
-    level_pos = dac._level_pos
-    level_neg = dac._level_neg
-    rms = dac.reference_noise_rms
-    dac_noise: list[float] = dac._stream.take(n).tolist() if rms > 0.0 else []
-
-    cell = integrator._cell
-    store = _store_half_fn(cell.config)
-    gain = integrator.gain
-    mm = cell.config.half_gain_mismatch
-    fp = 1.0 + 0.5 * mm
-    fn = 1.0 - 0.5 * mm
-    noise: list[float] = cell._noise.take(n).tolist()
-    cmff = integrator.cmff
-    apply_cmff = _cmff_fn(cmff) if cmff is not None else None
-    cell_buf: list[float] | None = [] if cell._probe is not None else None
-    cmff_buf: list[float] | None = (
-        [] if cmff is not None and cmff._probe is not None else None
-    )
-    pos = cell._stored.pos
-    neg = cell._stored.neg
-    slews = 0
-    xs: list[float] = data.tolist()
-    out: list[float] = []
-    append = out.append
-    for i in range(n):
-        base = pos - neg
-        if drms > 0.0:
-            base = base + dith[i]
-        effective = base - (offset - hyst * last)
-        if band > 0.0:
-            draw = meta[i]
-            if abs(effective) < band:
-                decision = 1 if draw < 0.5 else -1
-            else:
-                decision = 1 if effective >= 0.0 else -1
-        else:
-            decision = 1 if effective >= 0.0 else -1
-        last = decision
-        feedback = level_pos if decision == 1 else level_neg
-        if rms > 0.0:
-            feedback += dac_noise[i]
-        u_half = 0.5 * (a * (xs[i] - feedback))
-        u_pos = 0.0 + u_half
-        u_neg = 0.0 - u_half
-        t_pos = pos + u_pos * gain
-        t_neg = neg + u_neg * gain
-        if apply_cmff is not None:
-            t_pos, t_neg = apply_cmff(t_pos, t_neg)
-            if cmff_buf is not None:
-                cmff_buf.append(0.5 * (t_pos + t_neg))
-        if cell_buf is not None:
-            cell_buf.append(t_pos - t_neg)
-        new_pos, slew_p = store(pos, t_pos)
-        new_neg, slew_n = store(neg, t_neg)
-        if mm != 0.0:
-            new_pos *= fp
-            new_neg *= fn
-        nz = noise[i]
-        pos = new_pos + 0.5 * nz
-        neg = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews += 1
-        append(decision * full_scale)
-    cell._stored = DifferentialSample(pos, neg)
-    cell._steps += n
-    cell._slew_events += slews
-    quantizer._last_decision = last
-    if cell_buf is not None and cell_buf and cell._probe is not None:
-        cell._probe.observe_array(np.array(cell_buf))
-    if cmff_buf is not None and cmff_buf and cmff is not None and cmff._probe is not None:
-        cmff._probe.observe_array(np.array(cmff_buf))
-    return np.array(out)
-
-
-def _run_modulator2(device: "SIModulator2", data: np.ndarray) -> np.ndarray | None:
-    int1 = device._int1
-    int2 = device._int2
-    reason = (
-        _stage_reason(int1)
-        or _stage_reason(int2)
-        or _loop_reason(device.quantizer, device.dac)
-    )
-    if reason is not None:
-        return _note(device, reason)
-    n = data.shape[0]
-    a1 = device.a1
-    a2 = device.a2
-    b2 = device.b2
-    full_scale = device.full_scale
-    quantizer = device.quantizer
-    offset = quantizer.offset
-    hyst = quantizer.hysteresis
-    band = quantizer.metastability_band
-    last = quantizer._last_decision
-    meta: list[float] = quantizer._stream.take(n).tolist() if band > 0.0 else []
-    drms, dith = _dither_draws(quantizer, n)
-    dac = device.dac
-    level_pos = dac._level_pos
-    level_neg = dac._level_neg
-    rms = dac.reference_noise_rms
-    dac_noise: list[float] = dac._stream.take(n).tolist() if rms > 0.0 else []
-
-    cell1 = int1._cell
-    cell2 = int2._cell
-    store1 = _store_half_fn(cell1.config)
-    store2 = _store_half_fn(cell2.config)
-    g1 = int1.gain
-    g2 = int2.gain
-    mm1 = cell1.config.half_gain_mismatch
-    f1p = 1.0 + 0.5 * mm1
-    f1n = 1.0 - 0.5 * mm1
-    mm2 = cell2.config.half_gain_mismatch
-    f2p = 1.0 + 0.5 * mm2
-    f2n = 1.0 - 0.5 * mm2
-    noise1: list[float] = cell1._noise.take(n).tolist()
-    noise2: list[float] = cell2._noise.take(n).tolist()
-    cmff1 = int1.cmff
-    cmff2 = int2.cmff
-    apply1 = _cmff_fn(cmff1) if cmff1 is not None else None
-    apply2 = _cmff_fn(cmff2) if cmff2 is not None else None
-    cell1_buf: list[float] | None = [] if cell1._probe is not None else None
-    cell2_buf: list[float] | None = [] if cell2._probe is not None else None
-    cmff1_buf: list[float] | None = (
-        [] if cmff1 is not None and cmff1._probe is not None else None
-    )
-    cmff2_buf: list[float] | None = (
-        [] if cmff2 is not None and cmff2._probe is not None else None
-    )
-    p1 = cell1._stored.pos
-    n1 = cell1._stored.neg
-    p2 = cell2._stored.pos
-    n2 = cell2._stored.neg
-    slews1 = 0
-    slews2 = 0
-    xs: list[float] = data.tolist()
-    out: list[float] = []
-    append = out.append
-    for i in range(n):
-        base = p2 - n2
-        if drms > 0.0:
-            base = base + dith[i]
-        effective = base - (offset - hyst * last)
-        if band > 0.0:
-            draw = meta[i]
-            if abs(effective) < band:
-                decision = 1 if draw < 0.5 else -1
-            else:
-                decision = 1 if effective >= 0.0 else -1
-        else:
-            decision = 1 if effective >= 0.0 else -1
-        last = decision
-        feedback = level_pos if decision == 1 else level_neg
-        if rms > 0.0:
-            feedback += dac_noise[i]
-        fb_half = 0.5 * feedback
-        fb_pos = 0.0 + fb_half
-        fb_neg = 0.0 - fb_half
-        x_half = 0.5 * xs[i]
-        x_pos = 0.0 + x_half
-        x_neg = 0.0 - x_half
-        u1_pos = (x_pos - fb_pos) * a1
-        u1_neg = (x_neg - fb_neg) * a1
-        u2_pos = p1 * a2 - fb_pos * b2
-        u2_neg = n1 * a2 - fb_neg * b2
-
-        t_pos = p1 + u1_pos * g1
-        t_neg = n1 + u1_neg * g1
-        if apply1 is not None:
-            t_pos, t_neg = apply1(t_pos, t_neg)
-            if cmff1_buf is not None:
-                cmff1_buf.append(0.5 * (t_pos + t_neg))
-        if cell1_buf is not None:
-            cell1_buf.append(t_pos - t_neg)
-        new_pos, slew_p = store1(p1, t_pos)
-        new_neg, slew_n = store1(n1, t_neg)
-        if mm1 != 0.0:
-            new_pos *= f1p
-            new_neg *= f1n
-        nz = noise1[i]
-        p1 = new_pos + 0.5 * nz
-        n1 = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews1 += 1
-
-        t_pos = p2 + u2_pos * g2
-        t_neg = n2 + u2_neg * g2
-        if apply2 is not None:
-            t_pos, t_neg = apply2(t_pos, t_neg)
-            if cmff2_buf is not None:
-                cmff2_buf.append(0.5 * (t_pos + t_neg))
-        if cell2_buf is not None:
-            cell2_buf.append(t_pos - t_neg)
-        new_pos, slew_p = store2(p2, t_pos)
-        new_neg, slew_n = store2(n2, t_neg)
-        if mm2 != 0.0:
-            new_pos *= f2p
-            new_neg *= f2n
-        nz = noise2[i]
-        p2 = new_pos + 0.5 * nz
-        n2 = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews2 += 1
-
-        append(decision * full_scale)
-    cell1._stored = DifferentialSample(p1, n1)
-    cell1._steps += n
-    cell1._slew_events += slews1
-    cell2._stored = DifferentialSample(p2, n2)
-    cell2._steps += n
-    cell2._slew_events += slews2
-    quantizer._last_decision = last
-    for buf, probe_owner in (
-        (cell1_buf, cell1._probe),
-        (cell2_buf, cell2._probe),
-        (cmff1_buf, cmff1._probe if cmff1 is not None else None),
-        (cmff2_buf, cmff2._probe if cmff2 is not None else None),
-    ):
-        if buf is not None and buf and probe_owner is not None:
-            probe_owner.observe_array(np.array(buf))
-    return np.array(out)
-
-
-def _run_chopper(
-    device: "ChopperStabilizedSIModulator", data: np.ndarray
-) -> np.ndarray | None:
-    diff1 = device._diff1
-    diff2 = device._diff2
-    reason = (
-        _stage_reason(diff1)
-        or _stage_reason(diff2)
-        or _loop_reason(device.quantizer, device.dac)
-    )
-    if reason is not None:
-        return _note(device, reason)
-    n = data.shape[0]
-    a1 = device.a1
-    a2 = device.a2
-    b2 = device.b2
-    neg_a1 = -a1
-    full_scale = device.full_scale
-    quantizer = device.quantizer
-    offset = quantizer.offset
-    hyst = quantizer.hysteresis
-    band = quantizer.metastability_band
-    last = quantizer._last_decision
-    meta: list[float] = quantizer._stream.take(n).tolist() if band > 0.0 else []
-    drms, dith = _dither_draws(quantizer, n)
-    dac = device.dac
-    level_pos = dac._level_pos
-    level_neg = dac._level_neg
-    rms = dac.reference_noise_rms
-    dac_noise: list[float] = dac._stream.take(n).tolist() if rms > 0.0 else []
-
-    cell1 = diff1._cell
-    cell2 = diff2._cell
-    store1 = _store_half_fn(cell1.config)
-    store2 = _store_half_fn(cell2.config)
-    g1 = diff1.gain
-    g2 = diff2.gain
-    mm1 = cell1.config.half_gain_mismatch
-    f1p = 1.0 + 0.5 * mm1
-    f1n = 1.0 - 0.5 * mm1
-    mm2 = cell2.config.half_gain_mismatch
-    f2p = 1.0 + 0.5 * mm2
-    f2n = 1.0 - 0.5 * mm2
-    noise1: list[float] = cell1._noise.take(n).tolist()
-    noise2: list[float] = cell2._noise.take(n).tolist()
-    cmff1 = diff1.cmff
-    cmff2 = diff2.cmff
-    apply1 = _cmff_fn(cmff1) if cmff1 is not None else None
-    apply2 = _cmff_fn(cmff2) if cmff2 is not None else None
-    cell1_buf: list[float] | None = [] if cell1._probe is not None else None
-    cell2_buf: list[float] | None = [] if cell2._probe is not None else None
-    cmff1_buf: list[float] | None = (
-        [] if cmff1 is not None and cmff1._probe is not None else None
-    )
-    cmff2_buf: list[float] | None = (
-        [] if cmff2 is not None and cmff2._probe is not None else None
-    )
-    p1 = cell1._stored.pos
-    n1 = cell1._stored.neg
-    p2 = cell2._stored.pos
-    n2 = cell2._stored.neg
-    slews1 = 0
-    slews2 = 0
-    xs: list[float] = data.tolist()
-    out: list[float] = []
-    append = out.append
-    chop = 1.0
-    for i in range(n):
-        u = chop * xs[i]
-        base = p2 - n2
-        if drms > 0.0:
-            base = base + dith[i]
-        effective = base - (offset - hyst * last)
-        if band > 0.0:
-            draw = meta[i]
-            if abs(effective) < band:
-                decision = 1 if draw < 0.5 else -1
-            else:
-                decision = 1 if effective >= 0.0 else -1
-        else:
-            decision = 1 if effective >= 0.0 else -1
-        last = decision
-        feedback = level_pos if decision == 1 else level_neg
-        if rms > 0.0:
-            feedback += dac_noise[i]
-        fb_half = 0.5 * feedback
-        fb_pos = 0.0 + fb_half
-        fb_neg = 0.0 - fb_half
-        u_half = 0.5 * u
-        u_pos = 0.0 + u_half
-        u_neg = 0.0 - u_half
-        s1_pos = (u_pos - fb_pos) * neg_a1
-        s1_neg = (u_neg - fb_neg) * neg_a1
-        s2_pos = fb_pos * b2 - p1 * a2
-        s2_neg = fb_neg * b2 - n1 * a2
-
-        # Differentiator stages feed the *crossed* state back.
-        t_pos = n1 + s1_pos * g1
-        t_neg = p1 + s1_neg * g1
-        if apply1 is not None:
-            t_pos, t_neg = apply1(t_pos, t_neg)
-            if cmff1_buf is not None:
-                cmff1_buf.append(0.5 * (t_pos + t_neg))
-        if cell1_buf is not None:
-            cell1_buf.append(t_pos - t_neg)
-        new_pos, slew_p = store1(p1, t_pos)
-        new_neg, slew_n = store1(n1, t_neg)
-        if mm1 != 0.0:
-            new_pos *= f1p
-            new_neg *= f1n
-        nz = noise1[i]
-        p1 = new_pos + 0.5 * nz
-        n1 = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews1 += 1
-
-        t_pos = n2 + s2_pos * g2
-        t_neg = p2 + s2_neg * g2
-        if apply2 is not None:
-            t_pos, t_neg = apply2(t_pos, t_neg)
-            if cmff2_buf is not None:
-                cmff2_buf.append(0.5 * (t_pos + t_neg))
-        if cell2_buf is not None:
-            cell2_buf.append(t_pos - t_neg)
-        new_pos, slew_p = store2(p2, t_pos)
-        new_neg, slew_n = store2(n2, t_neg)
-        if mm2 != 0.0:
-            new_pos *= f2p
-            new_neg *= f2n
-        nz = noise2[i]
-        p2 = new_pos + 0.5 * nz
-        n2 = new_neg - 0.5 * nz
-        if slew_p or slew_n:
-            slews2 += 1
-
-        append(chop * (decision * full_scale))
-        chop = -chop
-    cell1._stored = DifferentialSample(p1, n1)
-    cell1._steps += n
-    cell1._slew_events += slews1
-    cell2._stored = DifferentialSample(p2, n2)
-    cell2._steps += n
-    cell2._slew_events += slews2
-    quantizer._last_decision = last
-    for buf, probe_owner in (
-        (cell1_buf, cell1._probe),
-        (cell2_buf, cell2._probe),
-        (cmff1_buf, cmff1._probe if cmff1 is not None else None),
-        (cmff2_buf, cmff2._probe if cmff2 is not None else None),
-    ):
-        if buf is not None and buf and probe_owner is not None:
-            probe_owner.observe_array(np.array(buf))
-    return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-
-
-def _runners() -> dict[type, Callable[[Any, np.ndarray], "np.ndarray | None"]]:
-    from repro.deltasigma.chopper_modulator import ChopperStabilizedSIModulator
-    from repro.deltasigma.modulator1 import SIModulator1
-    from repro.deltasigma.modulator2 import SIModulator2
-    from repro.si.cascade import BiquadCascade
-    from repro.si.delay_line import DelayLine
-
-    return {
-        ClassABMemoryCell: _run_memory_cell,
-        DelayLine: _run_delay_line,
-        BiquadCascade: _run_cascade,
-        SIModulator1: _run_modulator1,
-        SIModulator2: _run_modulator2,
-        ChopperStabilizedSIModulator: _run_chopper,
-    }
-
-
-_RUNNER_TABLE: dict[type, Callable[[Any, np.ndarray], "np.ndarray | None"]] | None = None
-
-
-def _fast_path(device: object, data: np.ndarray) -> np.ndarray | None:
-    """Run the fused pure-Python fast path, or None with a noted refusal."""
-    global _RUNNER_TABLE
-    if _RUNNER_TABLE is None:
-        _RUNNER_TABLE = _runners()
-    runner = _RUNNER_TABLE.get(type(device))
-    if runner is None:
-        return _note(device, "no single-run fast path for this device type")
-    return runner(device, data)
-
-
-def _run_kernel_single(
-    device: object, data: np.ndarray, noted: bool
-) -> np.ndarray | None:
+def _run_kernel_single(device: object, data: np.ndarray) -> np.ndarray | None:
+    """Run one device through the compiled kernel, or note its refusal."""
     from repro.runtime.kernels import KernelUnsupported, run_kernel
 
     try:
         return run_kernel(device, data)
     except KernelUnsupported as error:
-        if noted:
-            _note(device, str(error))
-        return None
+        return _note(device, str(error))
 
 
 def _run_batch_single(device: object, data: np.ndarray) -> np.ndarray | None:
@@ -1027,42 +165,28 @@ def run_single(device: object, data: np.ndarray) -> np.ndarray | None:
     """Run ``device`` over 1-D ``data`` on the selected engine.
 
     The engine comes from :func:`repro.runtime.engine.use_engine`:
-    ``auto`` (the default) climbs the refusal ladder compiled kernel ->
-    fused fast path -> scalar, while ``kernel``/``batch`` pin one
-    lowered rung and ``scalar`` always declines.  Whatever rung runs is
-    bit-identical to the device's scalar loop, with device state and
-    random streams advanced identically.
+    ``auto`` (the default) and ``kernel`` run the compiled kernel,
+    ``batch`` runs the lane engine at ``n_lanes == 1`` and ``scalar``
+    (also :func:`force_scalar`) always declines.  Whatever rung runs
+    is bit-identical to the device's scalar loop, with device state
+    and random streams advanced identically.
 
-    Returns the output array, or ``None`` when no lowered rung applies
-    -- an exotic subclass, a non-1-D input, a pinned ``scalar`` engine,
-    or an active :func:`force_scalar` block.  On ``None`` the caller
-    must fall through to its scalar loop; the refusal reason (if not
-    forced) is retrievable via :func:`consume_fallbacks`.  Each
-    executed run is counted in the ``repro.engine.runs`` instrument
-    under the rung that actually ran (forced-scalar parity runs are
-    not recorded).
+    Returns the output array, or ``None`` when the caller must fall
+    through to its scalar loop: the engine is pinned to ``scalar``, or
+    the lowered rung refused the run (an exotic subclass, a non-1-D
+    input, an unpaired probe) and noted why for
+    :func:`consume_fallbacks`.  Each run is counted in the
+    ``repro.engine.runs`` instrument under the rung that actually ran.
     """
-    if _force_depth > 0:
-        return None
     engine = current_engine()
     if engine == "scalar":
-        record_engine_run("scalar", device)
-        return None
-    if engine == "kernel":
-        result = _run_kernel_single(device, data, noted=True)
-        record_engine_run("kernel" if result is not None else "scalar", device)
-        return result
-    if engine == "batch":
+        result = None
+    elif engine == "batch":
         result = _run_batch_single(device, data)
-        record_engine_run("batch" if result is not None else "scalar", device)
-        return result
-    # The auto ladder: try the compiled kernel silently (its refusals
-    # are expected for unsupported shapes), then the fused fast path
-    # (whose refusal is the one worth surfacing), then scalar.
-    result = _run_kernel_single(device, data, noted=False)
-    if result is not None:
-        record_engine_run("kernel", device)
-        return result
-    result = _fast_path(device, data)
-    record_engine_run("single" if result is not None else "scalar", device)
+    else:
+        result = _run_kernel_single(device, data)
+    if result is None:
+        record_engine_run("scalar", device)
+    else:
+        record_engine_run("batch" if engine == "batch" else "kernel", device)
     return result

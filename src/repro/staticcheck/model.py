@@ -32,9 +32,10 @@ __all__ = [
     "literal_number",
 ]
 
-#: Path suffixes of the modules carrying the bit-exact kernel contract.
+#: Path suffixes of the modules carrying the bit-exact kernel contract;
+#: an entry ending in ``/`` covers every module of that package.
 KERNEL_MODULE_SUFFIXES: tuple[str, ...] = (
-    "repro/runtime/kernels.py",
+    "repro/runtime/kernels/",
     "repro/runtime/batch.py",
     "repro/runtime/single.py",
 )
@@ -172,6 +173,15 @@ def resolve_name(node: ast.expr, imports: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
+def _path_matches(path: str, suffixes: tuple[str, ...]) -> bool:
+    """True when ``path`` ends with a file suffix or sits in a package one."""
+    rooted = "/" + path
+    return any(
+        "/" + suffix in rooted if suffix.endswith("/") else path.endswith(suffix)
+        for suffix in suffixes
+    )
+
+
 @dataclass
 class ModuleContext:
     """One parsed source file, ready for rule evaluation."""
@@ -191,10 +201,10 @@ class ModuleContext:
         lines = source.splitlines()
         head = lines[:10]
         normalized = path.replace("\\", "/")
-        is_kernel = normalized.endswith(KERNEL_MODULE_SUFFIXES) or any(
+        is_kernel = _path_matches(normalized, KERNEL_MODULE_SUFFIXES) or any(
             _KERNEL_TAG in line for line in head
         )
-        is_cache = normalized.endswith(CACHE_MODULE_SUFFIXES) or any(
+        is_cache = _path_matches(normalized, CACHE_MODULE_SUFFIXES) or any(
             _CACHE_TAG in line for line in head
         )
         return cls(

@@ -1,13 +1,16 @@
-"""Bit-exact equivalence of the single-run fast path against the scalar loops.
+"""Bit-exact equivalence of the single-run dispatch against the scalar loops.
 
-The fast path (:mod:`repro.runtime.single`) is what every device
-``run`` method tries first; its whole contract is byte-identity with
-the per-sample scalar loop, which stays in the tree as the parity
-oracle behind :func:`force_scalar`.  These tests assert that contract
-with ``tobytes()`` across every supported device and every randomised
+:func:`repro.runtime.single.run_single` is what every device ``run``
+method tries first; on the default ``auto`` engine it runs the
+compiled kernel, and its whole contract is byte-identity with the
+per-sample scalar loop, which stays in the tree as the parity oracle
+behind :func:`force_scalar`.  These tests assert that contract with
+``tobytes()`` across every supported device and every randomised
 element (cell noise, flicker, quantizer metastability, DAC reference
 noise), plus the live-stream property the batch engine cannot offer:
 state and stream continuation across sequential runs on one device.
+They also pin the two-rung ``auto`` ladder (kernel, else scalar) and
+its refusal accounting.
 """
 
 from dataclasses import replace
@@ -27,6 +30,9 @@ from repro.deltasigma import (
 )
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.quantizer import CurrentQuantizer
+from repro.observability.instruments import InstrumentRegistry, use_registry
+from repro.runtime.batch import iter_cells
+from repro.runtime.engine import use_engine
 from repro.runtime.single import consume_fallbacks, force_scalar, run_single
 from repro.si import DelayLine
 from repro.si.cascade import BiquadCascade
@@ -57,6 +63,39 @@ def _degraded_dac() -> FeedbackDac:
 
 
 
+class _SaturatingQuantizer(CurrentQuantizer):
+    """Overrides a simulated hook, so no lowered rung may take it."""
+
+    def decide(self, value):
+        return super().decide(min(value, 1e-6))
+
+
+def _series(registry: InstrumentRegistry, name: str, label: str) -> dict:
+    """Sum one instrument's series in ``registry`` by one label."""
+    document = registry.snapshot()["instruments"].get(name, {"series": []})
+    totals: dict = {}
+    for entry in document["series"]:
+        key = entry["labels"][label]
+        totals[key] = totals.get(key, 0.0) + entry["value"]
+    return totals
+
+
+def _device_state(device) -> tuple:
+    """Cell state, quantizer hysteresis and stream positions of a device."""
+    cells = tuple(
+        (cell._stored.pos, cell._stored.neg, cell._steps, cell._slew_events)
+        for cell in iter_cells(device)
+    )
+    quantizer = getattr(device, "quantizer", None)
+    loop = ()
+    if quantizer is not None:
+        loop = (quantizer._last_decision,) + tuple(
+            (stream._index, stream._buffer.size)
+            for stream in (quantizer._stream, device.dac._stream)
+        )
+    return cells, loop
+
+
 def _drive(device, stimulus: np.ndarray) -> np.ndarray:
     """Run a device from a fresh state (not every device is callable)."""
     if callable(device):
@@ -65,7 +104,7 @@ def _drive(device, stimulus: np.ndarray) -> np.ndarray:
     return device.run(stimulus)
 
 def _assert_fast_matches_scalar(make_device, stimulus: np.ndarray) -> None:
-    """Assert a fresh device's fast-path run is byte-identical to scalar."""
+    """Assert a fresh device's lowered run is byte-identical to scalar."""
     scalar_device = make_device()
     with force_scalar():
         scalar = _drive(scalar_device, stimulus)
@@ -127,8 +166,8 @@ class TestFastPathEquivalence:
         )
 
     def test_noiseless_unseeded_cell_still_fast(self):
-        # No randomness at all: the fast path needs no stream replay,
-        # so even an unseeded config must not fall back.
+        # No randomness at all: the kernel needs no stream replay, so
+        # even an unseeded config must not fall back.
         config = _paper_config(
             seed=None, thermal_noise_rms=0.0, flicker_corner_hz=0.0
         )
@@ -161,7 +200,7 @@ class TestStreamContinuation:
         assert fast_b.tobytes() == scalar_b.tobytes()
 
     def test_interleaved_fast_and_scalar_runs(self):
-        # The fast path consumes the same stream draws as the scalar
+        # The kernel consumes the same stream draws as the scalar
         # loop, so the two can alternate on one device without
         # diverging from an all-scalar reference.
         stimulus = _stimulus()
@@ -211,9 +250,9 @@ class TestProbedFastPath:
 class TestZeroFallbacks:
     @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
     def test_baseline_design_never_falls_back(self, name):
-        # The tentpole's regression guard: every `repro` verb's design
-        # must run on the fast path, so a run that quietly drops to the
-        # scalar loop is a bug, not a slowdown.
+        # The regression guard: every `repro` verb's design must run on
+        # the kernel, so a run that quietly drops to the scalar loop is
+        # a bug, not a slowdown.
         setup = TRACE_DESIGNS[name]
         device = setup.build(None)
         t = np.arange(1024)
@@ -221,8 +260,10 @@ class TestZeroFallbacks:
             2.0 * np.pi * setup.frequency * t / setup.sample_rate
         )
         consume_fallbacks()
-        device(stimulus)
+        with use_registry(InstrumentRegistry()) as registry:
+            device(stimulus)
         assert consume_fallbacks() == []
+        assert _series(registry, "repro.engine.runs", "engine") == {"kernel": 1.0}
 
     def test_probed_baseline_design_never_falls_back(self):
         setup = TRACE_DESIGNS["modulator2"]
@@ -236,12 +277,48 @@ class TestZeroFallbacks:
         consume_fallbacks()
         assert run_single(object(), np.zeros(4)) is None
         notes = consume_fallbacks()
+        assert notes == ["object: no kernel lowering for object"]
+
+    def test_auto_kernel_refusal_is_noted_once(self):
+        # The kernel is the only lowered rung of the auto ladder, so its
+        # refusal is the one recorded: once in the notes, once in the
+        # repro.single.fallbacks counter.
+        device = SIModulator2(
+            cell_config=_paper_config(), quantizer=_SaturatingQuantizer(seed=1)
+        )
+        consume_fallbacks()
+        with use_registry(InstrumentRegistry()) as registry:
+            device.run(_stimulus())
+        notes = consume_fallbacks()
         assert len(notes) == 1
-        assert "object" in notes[0]
+        assert notes[0].startswith("SIModulator2: ")
+        assert "_SaturatingQuantizer" in notes[0]
+        assert _series(registry, "repro.single.fallbacks", "device") == {
+            "SIModulator2": 1.0
+        }
+        assert _series(registry, "repro.engine.runs", "engine") == {"scalar": 1.0}
 
     def test_force_scalar_disables_fast_path(self):
         device = DEVICE_FACTORIES["memory-cell"]()
         with force_scalar():
             assert run_single(device, np.zeros(4)) is None
         # force_scalar is not a fallback: the caller asked for scalar.
+        assert consume_fallbacks() == []
+
+    @pytest.mark.parametrize("name", sorted(DEVICE_FACTORIES))
+    def test_force_scalar_is_the_scalar_engine_pin(self, name):
+        # force_scalar() is use_engine("scalar") under its public name:
+        # same output bytes, same device state, both counted as scalar.
+        runs = {}
+        for label, pin in (
+            ("force", force_scalar),
+            ("engine", lambda: use_engine("scalar")),
+        ):
+            device = DEVICE_FACTORIES[name]()
+            with use_registry(InstrumentRegistry()) as registry, pin():
+                output = _drive(device, _stimulus())
+            engines = _series(registry, "repro.engine.runs", "engine")
+            runs[label] = (output.tobytes(), _device_state(device), engines)
+        assert runs["force"] == runs["engine"]
+        assert set(runs["force"][2]) == {"scalar"}
         assert consume_fallbacks() == []

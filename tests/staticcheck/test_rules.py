@@ -113,10 +113,28 @@ def test_min_severity_filter():
 
 def test_kernel_module_classified_by_path():
     module = ModuleContext.parse(
-        "src/repro/runtime/kernels.py", "x = 1\n"
+        "src/repro/runtime/kernels/codegen.py", "x = 1\n"
     )
     assert module.is_kernel_module and not module.is_cache_module
     cache = ModuleContext.parse("src/repro/runtime/cache.py", "x = 1\n")
     assert cache.is_cache_module and not cache.is_kernel_module
     plain = ModuleContext.parse("src/repro/config.py", "x = 1\n")
     assert not plain.is_kernel_module and not plain.is_cache_module
+
+
+REPO_ROOT = Path(__file__).parents[2]
+KERNEL_PACKAGE = REPO_ROOT / "src" / "repro" / "runtime" / "kernels"
+
+
+@pytest.mark.parametrize(
+    "module_path",
+    sorted(KERNEL_PACKAGE.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_every_kernel_package_module_is_a_kernel_module(module_path):
+    # The kernel package is the single-run lowering: SC004/SC005 must
+    # see every module in it, not just the ones named one by one.
+    module = ModuleContext.parse(
+        module_path.relative_to(REPO_ROOT).as_posix(), module_path.read_text()
+    )
+    assert module.is_kernel_module
