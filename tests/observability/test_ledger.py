@@ -166,3 +166,166 @@ class TestEntryRoundTrip:
         )
         again = LedgerEntry.from_dict(entry.as_dict())
         assert again == entry
+
+
+def _line_for(kind, payload, design=None):
+    """The exact line ``RunLedger.append`` writes for this content."""
+    entry = LedgerEntry(
+        entry_id=entry_id_for(kind, design, payload),
+        kind=kind,
+        design=design,
+        payload=payload,
+        provenance=PROV,
+    )
+    return json.dumps(entry.as_dict(), sort_keys=True) + "\n"
+
+
+class TestLongLivedInstance:
+    def test_sees_appends_from_another_instance(self, tmp_path):
+        first = RunLedger(tmp_path)
+        second = RunLedger(tmp_path)
+        assert first.append("report", {"x": 1}, design="d", provenance=PROV)
+        assert second.append("report", {"x": 2}, design="d", provenance=PROV)
+        assert first.append("report", {"x": 2}, design="d", provenance=PROV) is None
+        lines = first.path.read_text().splitlines()
+        assert len(lines) == 2
+        assert len({entry.entry_id for entry in first.entries()}) == 2
+
+    def test_rescans_a_truncated_file(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for x in (1, 2, 3):
+            ledger.append("report", {"x": x}, design="d", provenance=PROV)
+        with ledger.path.open("r+b") as handle:
+            handle.truncate(len(_line_for("report", {"x": 1}, "d")))
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV) is None
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV)
+        ledger.path.write_text("")
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+        RunLedger(tmp_path).append("report", {"x": 4}, design="d", provenance=PROV)
+        assert ledger.append("report", {"x": 4}, design="d", provenance=PROV) is None
+
+    def test_rescans_a_replaced_file(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+        ledger.append("report", {"x": 2}, design="d", provenance=PROV)
+        replacement = tmp_path / "replacement.jsonl"
+        replacement.write_text(
+            _line_for("report", {"x": 3}, "d") + _line_for("report", {"x": 4}, "d") * 40
+        )
+        replacement.replace(ledger.path)
+        assert ledger.append("report", {"x": 3}, design="d", provenance=PROV) is None
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+
+    def test_a_deleted_file_starts_over(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+        ledger.path.unlink()
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+
+
+class TestDedupScan:
+    """How ``append`` finds stored ids without decoding the ledger."""
+
+    @pytest.fixture()
+    def loads_calls(self, monkeypatch):
+        calls = []
+        real = json.loads
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return calls
+
+    def test_fresh_append_decodes_no_written_line(self, tmp_path, loads_calls):
+        writer = RunLedger(tmp_path)
+        for index in range(3000):
+            writer.append("report", {"i": index}, design="d", provenance=PROV)
+        assert len(writer.path.read_text().splitlines()) == 3000
+        assert RunLedger(tmp_path).append(
+            "report", {"i": 3000}, design="d", provenance=PROV
+        )
+        assert loads_calls == []
+
+    def test_second_append_reads_only_the_first_appends_line(
+        self, tmp_path, monkeypatch, loads_calls
+    ):
+        from repro.observability import ledger as ledger_module
+
+        writer = RunLedger(tmp_path)
+        for index in range(20):
+            writer.append("report", {"i": index}, design="d", provenance=PROV)
+        chunks = []
+        real = ledger_module._stored_ids
+
+        def recording(chunk):
+            chunks.append(chunk)
+            return real(chunk)
+
+        monkeypatch.setattr(ledger_module, "_stored_ids", recording)
+        ledger = RunLedger(tmp_path)
+        before = ledger.path.stat().st_size
+        assert ledger.append("report", {"i": 20}, design="d", provenance=PROV)
+        after = ledger.path.stat().st_size
+        assert ledger.append("report", {"i": 21}, design="d", provenance=PROV)
+        assert len(chunks[0]) == before
+        assert chunks[1] == ledger.path.read_bytes()[before:after]
+        assert loads_calls == []
+
+    def test_a_hit_is_confirmed_before_deduplicating(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = _line_for("report", {"x": 1}, "d")[:120]
+        ledger.path.write_text(torn)
+        # The next append lands on the torn line's tail: the merged line
+        # keeps the torn entry's head but holds no entry at all.
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV)
+        assert list(ledger.entries()) == []
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV)
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV)
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV) is None
+
+    def test_entry_without_its_final_newline_is_stored(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        ledger.path.write_text(_line_for("report", {"x": 1}, "d").rstrip("\n"))
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV) is None
+
+    @pytest.mark.parametrize("key", ['"entry_id"', '"entry\\u005fid"'])
+    def test_a_later_entry_id_key_wins_over_the_head(self, tmp_path, key):
+        later = entry_id_for("report", "d", {"x": 2})
+        line = _line_for("report", {"x": 1}, "d")[:-2] + f', {key}: "{later}"}}\n'
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        ledger.path.write_text(line)
+        assert [entry.entry_id for entry in ledger.entries()] == [later]
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV) is None
+
+    @pytest.mark.parametrize("separator", ["\r", "\r\n", "\x0b", "\x1e", "\u2028"])
+    def test_lines_split_as_entries_splits_them(self, tmp_path, separator):
+        first = _line_for("report", {"x": 1}, "d").rstrip("\n")
+        second = json.loads(_line_for("report", {"x": 2}, "d"))
+        del second["entry_id"]
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        ledger.path.write_text(first + separator + json.dumps(second) + "\n")
+        assert len(list(ledger.entries())) == 2
+        assert ledger.append("report", {"x": 2}, design="d", provenance=PROV) is None
+
+    def test_hand_written_lines_count_by_their_recomputed_id(self, tmp_path):
+        data = json.loads(_line_for("report", {"x": 1}, "µ-cell"))
+        del data["entry_id"]
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        ledger.path.write_text(json.dumps(data, ensure_ascii=False) + "\n")
+        again = ledger.append("report", {"x": 1}, design="µ-cell", provenance=PROV)
+        assert again is None
+
+    def test_written_lines_are_unchanged(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append("report", {"x": 1}, design='q"\\µ', provenance=PROV)
+        ledger.append("bench", {"x": 2}, provenance=PROV)
+        assert ledger.path.read_text() == (
+            _line_for("report", {"x": 1}, 'q"\\µ') + _line_for("bench", {"x": 2})
+        )

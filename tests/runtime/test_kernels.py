@@ -236,7 +236,7 @@ class TestEngineLadder:
         notes = consume_fallbacks()
         assert any("SaturatingQuantizer" in note for note in notes)
 
-    def test_auto_refusal_is_silent(self):
+    def test_auto_refusal_note_does_not_name_the_kernel(self):
         class SaturatingQuantizer(CurrentQuantizer):
             def decide(self, value):
                 return super().decide(min(value, 1e-6))
@@ -246,7 +246,8 @@ class TestEngineLadder:
         )
         consume_fallbacks()
         device.run(3e-6 * np.sin(np.linspace(0.0, 10.0, 128)))
-        # auto tries the kernel, then the fused path notes its refusal;
-        # the kernel attempt itself stays silent.
+        # auto tries the kernel, which refuses the subclassed quantizer,
+        # and falls back to scalar; the note it leaves gives the
+        # lowering's reason, not the name of the rung that refused.
         notes = consume_fallbacks()
         assert all("kernel" not in note for note in notes)
