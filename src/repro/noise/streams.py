@@ -1,8 +1,8 @@
-"""Pre-drawn, seed-sliceable random streams for per-sample device loops.
+"""Chunked, bulk-drainable random streams for per-sample device loops.
 
-The batch-execution engine (:mod:`repro.runtime.batch`) can only lower
-a randomised device bit-identically if it can reproduce the device's
-draw sequence as one bulk array.  These streams give
+The lowered engines (:mod:`repro.runtime.kernels`) reproduce a
+randomised device bit-identically by draining the device's *own*
+streams in bulk.  These streams give
 :class:`~repro.deltasigma.quantizer.CurrentQuantizer` metastability and
 :class:`~repro.deltasigma.dac.FeedbackDac` reference noise the same
 contract the memory cell's ``_NoiseFeed`` already provides: values are
@@ -11,10 +11,10 @@ freely, and ``take(n)`` is bit-identical to ``n`` sequential ``next()``
 calls because refills happen at the same chunk boundaries either way.
 
 Slicing convention (documented in ``docs/RUNTIME.md``): a device draws
-exactly one stream value per consuming step, so lane ``k`` of a batch
-run that replays a scalar sweep consumes stream positions
-``[k * n_steps, (k + 1) * n_steps)``; a shard at ``lane_offset`` skips
-``lane_offset * n_steps`` values first.
+exactly one stream value per consuming step, so lane ``k`` of a
+lane-major run that replays a scalar sweep consumes stream positions
+``[k * n_steps, (k + 1) * n_steps)`` of one ``take``; a shard at
+``lane_offset`` skips ``lane_offset * n_steps`` values first.
 """
 
 from __future__ import annotations

@@ -11,14 +11,12 @@ bit for bit:
   :func:`consume_fallbacks` reporting refusals;
 * :mod:`repro.runtime.engine` -- :func:`~repro.runtime.engine.use_engine`
   pins a rung (``auto``, ``scalar``, ``batch``, ``kernel``);
-* :mod:`repro.runtime.kernels` -- each design lowered to a
-  ``KernelSpec`` and compiled into one fused recurrence (the only
-  single-run lowering), plus the elementwise class-AB store pipeline
-  evaluated on whole lane arrays;
-* :mod:`repro.runtime.batch` -- batch runners that execute *independent
-  lanes* (sweep points, Monte-Carlo draws, process corners) of a
+* :mod:`repro.runtime.kernels` -- each design lowered to one
+  ``KernelSpec`` and generated into two programs: the fused per-sample
+  recurrence of one run (the ``kernel`` rung) and the lane-major NumPy
+  step program that runs *independent lanes* (sweep points) of a
   memory cell, delay line, biquad cascade or any of the three
-  modulators side by side;
+  modulators side by side (the ``batch`` rung);
 * :mod:`repro.runtime.executor` -- :class:`SweepExecutor`, sharding
   lanes across a ``ProcessPoolExecutor`` with chunking, per-task
   timeouts and deterministic ``SeedSequence.spawn`` seeding;
@@ -33,21 +31,14 @@ configurations every rung reproduces the scalar path *bit for bit*,
 at any ``--jobs`` value.
 """
 
-from repro.runtime.batch import (
-    BatchBiquadCascade,
-    BatchChopper,
-    BatchClassABCell,
-    BatchDelayLine,
-    BatchModulator1,
-    BatchModulator2,
-    BatchUnsupported,
-    batch_runner_for,
-    fast_forward_streams,
-    iter_cells,
-)
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import ShardContext, SweepExecutor, SweepTimeoutError
-from repro.runtime.kernels import CellKernel, store_batch
+from repro.runtime.kernels import (
+    KernelUnsupported,
+    fast_forward_streams,
+    iter_cells,
+    run_lanes,
+)
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
@@ -66,14 +57,7 @@ from repro.runtime.montecarlo import (
 from repro.runtime.sweeps import SweepSpec, run_sweep, sweep_spec_for_design
 
 __all__ = [
-    "BatchBiquadCascade",
-    "BatchChopper",
-    "BatchClassABCell",
-    "BatchDelayLine",
-    "BatchModulator1",
-    "BatchModulator2",
-    "BatchUnsupported",
-    "CellKernel",
+    "KernelUnsupported",
     "LOWERING_PROTOCOL",
     "LoweredBase",
     "PROTOCOL_BY_QUALNAME",
@@ -82,7 +66,6 @@ __all__ = [
     "SweepExecutor",
     "SweepSpec",
     "SweepTimeoutError",
-    "batch_runner_for",
     "cmff_imbalance_draws",
     "fast_forward_streams",
     "cmff_leakage_samples",
@@ -94,8 +77,8 @@ __all__ = [
     "overridden_hooks",
     "probe_refusal",
     "protocol_for",
+    "run_lanes",
     "run_single",
     "run_sweep",
-    "store_batch",
     "sweep_spec_for_design",
 ]

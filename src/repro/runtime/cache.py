@@ -51,7 +51,7 @@ from repro.observability.instruments import get_registry
 
 __all__ = ["ResultCache"]
 
-#: Bump when the cached payload layout or the batch engine's numeric
+#: Bump when the cached payload layout or the lowered engines' numeric
 #: contract changes; stale-version entries then miss instead of lying.
 CACHE_SCHEMA_VERSION = 1
 

@@ -1,12 +1,14 @@
-"""Engine selection for single-device runs.
+"""Engine selection for device runs and sweep shards.
 
 Every supported device executes bit-identically on three rungs:
 
 * ``scalar`` -- the original per-sample Python loop (the parity
   oracle; :func:`repro.runtime.single.force_scalar` pins it);
-* ``batch`` -- the NumPy lane engine at ``n_lanes == 1``;
-* ``kernel`` -- the compiled state-space kernel tier
-  (:mod:`repro.runtime.kernels`), optionally numba-JIT.
+* ``batch`` -- the lane-major NumPy program generated from the
+  device's :class:`~repro.runtime.kernels.KernelSpec`: many lanes of
+  a sweep shard side by side, or one lane for a single run;
+* ``kernel`` -- the fused per-sample loop generated from the same
+  spec (:mod:`repro.runtime.kernels`), optionally numba-JIT.
 
 :func:`use_engine` pins the rung for runs inside the block; the
 default ``auto`` runs the kernel and drops to scalar, with a named

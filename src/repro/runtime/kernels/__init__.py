@@ -1,43 +1,62 @@
-"""Compiled kernel tier: per-design fused state-space loops.
+"""Compiled kernel tier: one spec per design, two generated programs.
 
-Public surface:
+A device is lowered once, by :func:`build_spec`, into a frozen
+constant-folded :class:`KernelSpec`; that spec is the single source of
+truth for both execution shapes, and :func:`build_spec` is the single
+source of lowering refusals.  Public surface:
 
-* :class:`CellKernel` / :func:`store_batch` -- the vectorised memory-cell
-  settling update used by the batch engine (moved here from the old
-  flat ``repro.runtime.kernels`` module).
 * :func:`build_spec` / :class:`KernelSpec` -- lower a device into a
-  frozen constant-folded spec, or raise :class:`KernelUnsupported`
-  with a named reason.
-* :func:`compile_spec` / :class:`KernelProgram` -- generate and cache
-  the fused scalar loop for a spec.
-* :func:`run_kernel` / :func:`kernel_refusal` -- execute a device's
-  run through the compiled tier (byte-identical to ``force_scalar()``),
-  or predict why it would refuse.
+  spec, or raise :class:`KernelUnsupported` with a named reason;
+  :func:`kernel_refusal` predicts that reason (None = lowers).
+* :func:`compile_spec` -- the fused per-sample loop of one run
+  (optionally numba-JIT); :func:`run_kernel` executes a device run on
+  it.
+* :func:`compile_lanes` -- the lane-major NumPy step program that runs
+  many independent runs side by side; :func:`run_lanes` executes a
+  sweep shard (or one ``batch``-pinned run) on it.  Both return a
+  cached :class:`KernelProgram` (source, callable, argument layout).
+* :func:`fast_forward_streams` / :func:`iter_cells` -- skip a device's
+  live streams past earlier lanes; list its cells in kernel order.
 * :func:`state_matrices` -- the A/B/C/D linearisation of a spec for
   docs and analysis.
+
+Both programs consume the device's own live random streams and write
+its state back, so either is byte-identical to the scalar loop under
+``force_scalar()``.
 """
 
-from repro.runtime.kernels.codegen import KernelProgram, compile_spec
+from repro.runtime.kernels.codegen import (
+    KernelProgram,
+    compile_lanes,
+    compile_spec,
+)
 from repro.runtime.kernels.jit import jit_status
-from repro.runtime.kernels.runner import kernel_refusal, run_kernel
+from repro.runtime.kernels.runner import (
+    fast_forward_streams,
+    iter_cells,
+    kernel_refusal,
+    run_kernel,
+    run_lanes,
+)
 from repro.runtime.kernels.spec import (
     KernelSpec,
     KernelUnsupported,
     build_spec,
     state_matrices,
 )
-from repro.runtime.kernels.store import CellKernel, store_batch
 
 __all__ = [
-    "CellKernel",
     "KernelProgram",
     "KernelSpec",
     "KernelUnsupported",
     "build_spec",
+    "compile_lanes",
     "compile_spec",
+    "fast_forward_streams",
+    "iter_cells",
     "jit_status",
     "kernel_refusal",
     "run_kernel",
+    "run_lanes",
     "state_matrices",
-    "store_batch",
 ]

@@ -1,7 +1,12 @@
-"""Per-spec source generation for the compiled kernel tier.
+"""Per-spec source generation: one spec, two emitters.
 
 Each :class:`~repro.runtime.kernels.spec.KernelSpec` is compiled into
-one flat Python function whose body is the scalar device loop with
+two programs.  :func:`compile_spec` emits the per-sample kernel of one
+run; :func:`compile_lanes` emits the lane-major NumPy step program
+that runs many independent runs side by side (see "The lane-major
+emitter" below).  Both walk the same spec and apply the same folding
+rules.  The per-sample kernel is one flat Python function whose body
+is the scalar device loop with
 every abstraction *folded at generation time*: cell constants, loop
 coefficients and mirror gains become ``repr`` float literals, stages
 unroll, and identity operations are elided where IEEE-754 proves them
@@ -24,7 +29,7 @@ byte-equality contract:
   this pipeline's argument range); ``sqrt`` is correctly rounded
   everywhere and may come from ``math``.
 
-The generated source is shared verbatim between the pure-Python mode
+The kernel source is shared verbatim between the pure-Python mode
 (lists in, preallocated list out) and the optional numba JIT mode
 (arrays in, preallocated array out) -- see
 :mod:`repro.runtime.kernels.jit` for the bit-exactness probe that
@@ -34,6 +39,7 @@ gates the latter.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -47,7 +53,13 @@ from repro.runtime.kernels.spec import (
     StageSpec,
 )
 
-__all__ = ["KernelProgram", "compile_spec", "kernel_source"]
+__all__ = [
+    "KernelProgram",
+    "compile_lanes",
+    "compile_spec",
+    "kernel_source",
+    "lanes_source",
+]
 
 
 def _lit(value: float) -> str:
@@ -250,6 +262,24 @@ def _emit_decision(
     src.line(depth, "last = decision")
 
 
+def _feedback_levels(
+    loop: LoopSpec, b2: float
+) -> tuple[tuple[float, float, float, float], ...]:
+    """``(fb_pos, fb_neg, fb2_pos, fb2_neg)`` after a +1, then a -1 decision.
+
+    A noiseless DAC makes the feedback two-valued, so each half and its
+    ``b2``-scaled copy fold to constants computed with the exact
+    run-time expressions.
+    """
+    levels = []
+    for level in (loop.level_pos, loop.level_neg):
+        fb_half = 0.5 * level
+        fb_pos = 0.0 + fb_half
+        fb_neg = 0.0 - fb_half
+        levels.append((fb_pos, fb_neg, fb_pos * b2, fb_neg * b2))
+    return tuple(levels)
+
+
 def _emit_feedback_halves(
     src: _Source, depth: int, loop: LoopSpec, b2: float
 ) -> None:
@@ -261,16 +291,11 @@ def _emit_feedback_halves(
     """
     if loop.dac_rms == 0.0:
         src.line(depth, "if decision == 1:")
-        for index, level in enumerate((loop.level_pos, loop.level_neg)):
+        for index, values in enumerate(_feedback_levels(loop, b2)):
             if index == 1:
                 src.line(depth, "else:")
-            fb_half = 0.5 * level
-            fb_pos = 0.0 + fb_half
-            fb_neg = 0.0 - fb_half
-            src.line(depth + 1, f"fb_pos = {_lit(fb_pos)}")
-            src.line(depth + 1, f"fb_neg = {_lit(fb_neg)}")
-            src.line(depth + 1, f"fb2_pos = {_lit(fb_pos * b2)}")
-            src.line(depth + 1, f"fb2_neg = {_lit(fb_neg * b2)}")
+            for name, value in zip(("fb_pos", "fb_neg", "fb2_pos", "fb2_neg"), values):
+                src.line(depth + 1, f"{name} = {_lit(value)}")
     else:
         src.line(
             depth,
@@ -472,27 +497,503 @@ class KernelProgram:
     jit_state: str = "untried"
 
 
-_CACHE: dict[KernelSpec, KernelProgram] = {}
+_CACHE: dict[tuple[str, KernelSpec], KernelProgram] = {}
 
 
-def compile_spec(spec: KernelSpec) -> KernelProgram:
-    """Return the (cached) compiled program for ``spec``."""
-    program = _CACHE.get(spec)
+def _compile(
+    spec: KernelSpec,
+    label: str,
+    generate: Callable[[KernelSpec], tuple[str, _Layout]],
+    namespace: dict[str, Any],
+) -> KernelProgram:
+    """Return the cached program ``generate`` emits for ``spec``."""
+    program = _CACHE.get((label, spec))
     if program is not None:
         return program
-    source, layout = kernel_source(spec)
-    namespace: dict[str, Any] = {"sqrt": math.sqrt, "exp": np.exp}
+    source, layout = generate(spec)
+    namespace = dict(namespace)
     exec(  # noqa: S102 - the source is generated from frozen spec literals
-        compile(source, f"<repro-kernel:{spec.kind}>", "exec"), namespace
+        compile(source, f"<repro-{label}:{spec.kind}>", "exec"), namespace
     )
     program = KernelProgram(
         spec=spec,
         source=source,
-        fn=namespace["kernel"],
+        fn=namespace[label],
         arg_names=tuple(layout.arg_names),
         probe_slots=tuple(layout.probe_slots),
         state_names=tuple(layout.state_names),
         slew_names=tuple(layout.slew_names),
     )
-    _CACHE[spec] = program
+    _CACHE[(label, spec)] = program
     return program
+
+
+def compile_spec(spec: KernelSpec) -> KernelProgram:
+    """Return the (cached) compiled per-sample kernel for ``spec``."""
+    return _compile(
+        spec, "kernel", kernel_source, {"sqrt": math.sqrt, "exp": np.exp}
+    )
+
+
+# ---------------------------------------------------------------------------
+# The lane-major emitter
+# ---------------------------------------------------------------------------
+#
+# The same spec walk, lowered to whole-array NumPy statements over a
+# lane axis: lane k of the program is the k-th of a sequence of
+# independent runs from the same starting state.  Every half-circuit
+# of every cell of every lane sits in one ``(rows, L)`` state array
+# ``S`` laid out half-major -- rows ``0..C-1`` hold the positive halves
+# of cells ``0..C-1``, rows ``C..2C-1`` the negative halves -- so one
+# fused store per clock settles them all.  Each statement reproduces
+# the scalar kernel's expression for its rows, operation for
+# operation, with its output array passed positionally; constants
+# become full-size arrays of the same ``repr`` literals (per row when
+# cells differ), because an operand of matching shape dispatches
+# faster than a Python float or a broadcast column.  Decisions are one
+# bool mask per step, turned into ``+/-full_scale`` after the loop.
+
+
+class _Prologue:
+    """Constants and scratch arrays the lane program declares up front."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.buffers: set[str] = set()
+        self._consts: dict[tuple[object, ...], str] = {}
+
+    def _const(self, key: tuple[object, ...], expr: str) -> str:
+        if key not in self._consts:
+            self._consts[key] = f"k{len(self._consts)}"
+            self.lines.append(f"{self._consts[key]} = {expr}")
+        return self._consts[key]
+
+    def rows(self, values: tuple[float, ...]) -> str:
+        """A ``(len(values), L)`` constant; row r holds ``values[r]``."""
+        literals = ", ".join(_lit(v) for v in values)
+        return self._const(values, f"rows(({literals},), L)")
+
+    def lane(self, value: float) -> str:
+        """An ``(L,)`` constant filled with ``value``."""
+        return self._const(("lane", value), f"full(L, {_lit(value)})")
+
+    def buffer(self, name: str, rows: int | None = None, dtype: str = "float") -> str:
+        """A scratch array of ``rows`` lane rows (one ``(L,)`` row if None)."""
+        if name not in self.buffers:
+            self.buffers.add(name)
+            shape = "L" if rows is None else f"({rows}, L)"
+            self.lines.append(f"{name} = empty({shape}, dtype={dtype})")
+        return name
+
+
+def _emit_affine(
+    src: _Source,
+    d: int,
+    pro: _Prologue,
+    operand: str,
+    gains: tuple[float, ...],
+    biases: tuple[float, ...],
+    out: str,
+) -> None:
+    """Emit ``out = gains * operand + biases`` (unit gains elided)."""
+    if any(g != 1.0 for g in gains):
+        src.line(d, f"mul({operand}, {pro.rows(gains)}, {out})")
+        operand = out
+    src.line(d, f"add({operand}, {pro.rows(biases)}, {out})")
+
+
+def _emit_lane_store(
+    src: _Source, d: int, cells: tuple[CellSpec, ...], pro: _Prologue
+) -> None:
+    """Emit the fused store of every half-circuit of every lane.
+
+    :func:`_emit_store` on the targets ``T`` against the held state
+    ``S``, writing the settled state (plus noise) back into ``S``.  The
+    scalar branches become selections: ``root + |half|`` equals both
+    ``half + root`` (``half >= 0``) and ``root - half`` (``half < 0``)
+    exactly; the ``delta == 0`` shortcut equals the small-step branch
+    bit for bit; ``margin / -tau`` is ``-(margin / tau)`` exactly
+    (division rounds sign-symmetrically).  ``LIN[i]`` records the scalar
+    test ``magnitude <= bias`` (a NaN step slews, as in the scalar
+    loop); the slew branch only runs on steps where some half slews,
+    since its values are only selected there.  The transmission and injection square roots share one call
+    on a stacked ``(2 * rows, L)`` buffer.
+    """
+    rows = 2 * len(cells)
+
+    def k(name: str) -> str:
+        return pro.rows(tuple(getattr(c, name) for c in cells) * 2)
+
+    h, ah, r, dn, cur, a, v, dl, nnt, e, sm, mag = (
+        pro.buffer(f"st_{name}", rows)
+        for name in ("h", "ah", "r", "dn", "cur", "a", "v", "dl", "nnt", "e", "sm", "mag")
+    )
+    pm = pro.buffer("st_pm", rows, "bool")
+    both = pro.buffer("st_both", 2 * rows)
+    iq, bias, one = k("iq_squared"), k("bias"), pro.rows((1.0,) * rows)
+    scales = tuple(c.trans_ratio for c in cells) * 2 + tuple(
+        c.inj_residual for c in cells
+    ) * 2
+    lines = [
+        f"mul(T, {pro.rows((0.5,) * rows)}, {h})",
+        f"absolute({h}, {ah})",
+        f"mul({ah}, {ah}, {r})",
+        f"add({r}, {iq}, {r})",
+        f"sqrt({r}, {r})",
+        f"add({r}, {ah}, {r})",
+        f"div({iq}, {r}, {dn})",
+        f"ge({h}, {pro.rows((0.0,) * rows)}, {pm})",
+        f"putmask({dn}, {pm}, {r})",
+        f"maximum({dn}, {k('trans_floor')}, out={cur})",
+        f"div({k('trans_iq')}, {cur}, {both}[:{rows}])",
+    ]
+    if any(c.inj_floor != c.trans_floor for c in cells):
+        lines.append(f"maximum({dn}, {k('inj_floor')}, out={cur})")
+    lines += [
+        f"div({cur}, {k('inj_iq')}, {both}[{rows}:])",
+        f"sqrt({both}, {both})",
+        f"mul({pro.rows(scales)}, {both}, {both})",
+        f"sub({one}, {both}[:{rows}], {a})",
+        f"mul(T, {a}, {v})",
+        f"add({v}, {both}[{rows}:], {v})",
+        f"sub({v}, S, {dl})",
+        f"mul({k('kick')}, {v}, {a})",
+        f"add({dl}, {a}, {dl})",
+        f"absolute({v}, {a})",
+        f"div({a}, {bias}, {a})",
+        f"sub({one}, {a}, {a})",
+        f"maximum({a}, {k('margin_floor')}, out={a})",
+        f"div({a}, {pro.rows(tuple(-c.tau_fraction for c in cells) * 2)}, {nnt})",
+        f"exp({nnt}, {e})",
+        f"mul({dl}, {e}, {sm})",
+        f"absolute({dl}, {mag})",
+        "lin = LIN[i]",
+        f"less_equal({mag}, {bias}, lin)",
+    ]
+    for line in lines:
+        src.line(d, line)
+    src.line(d, f"if count_nonzero(lin) != {rows} * L:")
+    for line in (
+        "slewed = logical_not(lin)",
+        f"sign = where(greater({dl}, 0.0), 1.0, -1.0)",
+        f"slew_tau = div(sub({mag}, {bias}), {bias})",
+        f"n_tau = negative({nnt})",
+        f"full_slew = mul(sign, sub({mag}, mul({bias}, n_tau)))",
+        f"partial = mul(mul(sign, {bias}), exp(negative(sub(n_tau, slew_tau))))",
+        f"copyto({sm}, where(ge(slew_tau, n_tau), full_slew, partial), where=slewed)",
+    ):
+        src.line(d + 1, line)
+    src.line(d, f"sub({v}, {sm}, S)")
+    if any(c.mismatch != 0.0 for c in cells):
+        factors = tuple(1.0 + 0.5 * c.mismatch for c in cells) + tuple(
+            1.0 - 0.5 * c.mismatch for c in cells
+        )
+        src.line(d, f"mul(S, {pro.rows(factors)}, S)")
+    src.line(d, "add(S, NA[i], S)")
+
+
+def _emit_lane_cmff(
+    src: _Source, d: int, stages: tuple[StageSpec, ...], pro: _Prologue
+) -> None:
+    """Emit the CMFF apply of every CMFF stage on the targets ``T``.
+
+    :func:`_emit_cmff` with each stage's halves as rows, biases kept:
+    every stage in one pass when all have CMFF, else stage by stage.
+    """
+    n = len(stages)
+    present = [j for j, stage in enumerate(stages) if stage.cmff is not None]
+    spans = [(0, n)] if len(present) == n else [(j, j + 1) for j in present]
+    for a, b in spans:
+        m = b - a
+        specs = [stages[j].cmff for j in range(a, b)]
+
+        def column(name: str) -> tuple[float, ...]:
+            return tuple(getattr(c, name) for c in specs)
+
+        pos, neg = f"T[{a}:{b}]", f"T[C + {a}:C + {b}]"
+        w, icm = pro.buffer(f"cm_w{a}", 2 * m), pro.buffer(f"cm_i{a}", m)
+        if m == n:  # the halves tile T: sense both in one pass
+            sense = column("sense_pos_gain") + column("sense_neg_gain")
+            sense_bias = column("sense_pos_bias") + column("sense_neg_bias")
+            _emit_affine(src, d, pro, "T", sense, sense_bias, w)
+        else:
+            for half, out, side in ((pos, f"{w}[:{m}]", "pos"), (neg, f"{w}[{m}:]", "neg")):
+                _emit_affine(
+                    src, d, pro, half,
+                    column(f"sense_{side}_gain"), column(f"sense_{side}_bias"), out,
+                )
+        src.line(d, f"add({w}[:{m}], {w}[{m}:], {icm})")
+        subtract = {
+            side: (column(f"subtract_{side}_gain"), column(f"subtract_{side}_bias"))
+            for side in ("pos", "neg")
+        }
+        v_pos = pro.buffer(f"cm_vp{a}", m)
+        _emit_affine(src, d, pro, icm, *subtract["pos"], v_pos)
+        v_neg = v_pos
+        if subtract["neg"] != subtract["pos"]:
+            v_neg = pro.buffer(f"cm_vn{a}", m)
+            _emit_affine(src, d, pro, icm, *subtract["neg"], v_neg)
+        src.line(d, f"sub({pos}, {v_pos}, {pos})")
+        src.line(d, f"sub({neg}, {v_neg}, {neg})")
+
+
+def _emit_lane_decision(
+    src: _Source, d: int, loop: LoopSpec, quantized: int, pro: _Prologue
+) -> None:
+    """Emit every lane's quantiser decision into the mask ``M[i]``.
+
+    :func:`_emit_decision` on the differential of cell ``quantized``;
+    the hysteresis threshold is two-valued per lane, folded to the
+    literals the scalar ``offset - hysteresis * last`` gives.
+    """
+    eff = pro.buffer("q_eff")
+    src.line(d, f"sub(S[{quantized}], S[C + {quantized}], {eff})")
+    if loop.dither_rms > 0.0:
+        src.line(d, f"add({eff}, dith[i], {eff})")
+    if loop.hysteresis != 0.0:
+        pos = pro.lane(loop.offset - loop.hysteresis * 1)
+        neg = pro.lane(loop.offset - loop.hysteresis * -1)
+        src.line(d, f"sub({eff}, where(last, {pos}, {neg}), {eff})")
+    elif loop.offset != 0.0:
+        src.line(d, f"sub({eff}, {pro.lane(loop.offset)}, {eff})")
+    src.line(d, "mi = M[i]")
+    src.line(d, f"ge({eff}, {pro.lane(0.0)}, mi)")
+    if loop.band > 0.0:
+        inside = pro.buffer("q_in", None, "bool")
+        src.line(d, f"absolute({eff}, {eff})")
+        src.line(d, f"less({eff}, {pro.lane(loop.band)}, {inside})")
+        src.line(d, f"copyto(mi, meta[i], where={inside})")
+    if loop.hysteresis != 0.0:
+        src.line(d, "last = mi")
+
+
+def _emit_lane_feedback(
+    src: _Source, d: int, loop: LoopSpec, b2: float, pro: _Prologue
+) -> str:
+    """Emit a two-stage loop's feedback rows; return their array's name.
+
+    Rows follow the state layout: ``fb_pos``, ``fb2_pos``, ``fb_neg``,
+    ``fb2_neg``.  A noiseless DAC selects them from the literals
+    :func:`_feedback_levels` folds; a noisy one evaluates
+    :func:`_emit_feedback_halves`'s expressions per lane.
+    """
+    fb = pro.buffer("fb", 4)
+    if loop.dac_rms == 0.0:
+        after_pos, after_neg = (
+            (fb_pos, fb2_pos, fb_neg, fb2_neg)
+            for fb_pos, fb_neg, fb2_pos, fb2_neg in _feedback_levels(loop, b2)
+        )
+        src.line(d, f"copyto({fb}, {pro.rows(after_neg)})")
+        src.line(d, f"copyto({fb}, {pro.rows(after_pos)}, where=mi)")
+        return fb
+    level, zero = pro.buffer("fb_level"), pro.lane(0.0)
+    src.line(d, f"copyto({level}, {pro.lane(loop.level_neg)})")
+    src.line(d, f"putmask({level}, mi, {pro.lane(loop.level_pos)})")
+    src.line(d, f"add({level}, dacn[i], {level})")
+    src.line(d, f"mul({level}, {pro.lane(0.5)}, {level})")
+    src.line(d, f"add({zero}, {level}, {fb}[0])")
+    src.line(d, f"sub({zero}, {level}, {fb}[2])")
+    for row in (1, 3):
+        if b2 == 1.0:
+            src.line(d, f"copyto({fb}[{row}], {fb}[{row - 1}])")
+        else:
+            src.line(d, f"mul({fb}[{row - 1}], {pro.lane(b2)}, {fb}[{row}])")
+    return fb
+
+
+def _emit_lane_wiring(src: _Source, d: int, spec: KernelSpec, pro: _Prologue) -> None:
+    """Emit the per-kind wiring up to the store targets ``T``.
+
+    Open-loop kinds also write the output ``out[i]``; loops write the
+    decision mask.  Stage inputs land in ``U`` and become
+    ``T = state + U * gain`` (crossed for differentiators).
+    """
+    stages = spec.all_stages
+    n = len(stages)
+    loop = spec.loop
+    pos, neg = f"S[{n - 1}]", f"S[C + {n - 1}]"
+    if stages[-1].cell.inverting:
+        pos, neg = f"negative({pos})", f"negative({neg})"
+    if spec.kind == "cell":
+        src.line(d, "T = X[i]")
+        src.line(d, f"sub({pos}, {neg}, out[i])")
+        return
+    pro.buffer("T", 2 * n)
+    if spec.kind == "delay":
+        src.line(d, "copyto(T[0::C], X[i])")
+        for j in range(1, n):
+            # Cell j stores what cell j-1 held, negated if it inverts.
+            for held, target in ((f"S[{j - 1}]", f"T[{j}]"), (f"S[C + {j - 1}]", f"T[C + {j}]")):
+                if stages[j - 1].cell.inverting:
+                    src.line(d, f"negative({held}, {target})")
+                else:
+                    src.line(d, f"copyto({target}, {held})")
+        src.line(d, f"sub({pos}, {neg}, out[i])")
+        return
+    pro.buffer("U", 2 * n)
+    if spec.kind == "cascade":
+        w, raw, acc = pro.buffer("w", n), pro.buffer("u_raw", n), pro.buffer("u_acc")
+        src.line(d, f"sub(S[:C], S[C:], {w})")
+        signal = "X[i]"
+        for s, section in enumerate(spec.sections):
+            w1, w2 = f"{w}[{2 * s}]", f"{w}[{2 * s + 1}]"
+            if section.q == 1.0:
+                src.line(d, f"sub({signal}, {w1}, {acc})")
+            else:
+                src.line(d, f"mul({pro.lane(section.q)}, {w1}, {acc})")
+                src.line(d, f"sub({signal}, {acc}, {acc})")
+            src.line(d, f"sub({acc}, {w2}, {acc})")
+            for coefficient, operand, row in ((section.k1, acc, 2 * s), (section.k2, w1, 2 * s + 1)):
+                if coefficient == 1.0:
+                    src.line(d, f"copyto({raw}[{row}], {operand})")
+                else:
+                    src.line(d, f"mul({pro.lane(coefficient)}, {operand}, {raw}[{row}])")
+            signal = w1
+        src.line(d, f"copyto(out[i], {signal})")
+        zero = pro.rows((0.0,) * n)
+        src.line(d, f"mul({pro.rows((0.5,) * n)}, {raw}, {raw})")
+        src.line(d, f"add({zero}, {raw}, U[:C])")
+        src.line(d, f"sub({zero}, {raw}, U[C:])")
+    elif spec.kind == "mod1":
+        assert loop is not None
+        _emit_lane_decision(src, d, loop, 0, pro)
+        e, zero = pro.buffer("u_e"), pro.lane(0.0)
+        src.line(d, f"copyto({e}, {pro.lane(loop.level_neg)})")
+        src.line(d, f"putmask({e}, mi, {pro.lane(loop.level_pos)})")
+        if loop.dac_rms > 0.0:
+            src.line(d, f"add({e}, dacn[i], {e})")
+        src.line(d, f"sub(X[i], {e}, {e})")
+        if spec.a1 != 1.0:
+            src.line(d, f"mul({pro.lane(spec.a1)}, {e}, {e})")
+        src.line(d, f"mul({pro.lane(0.5)}, {e}, {e})")
+        src.line(d, f"add({zero}, {e}, U[0])")
+        src.line(d, f"sub({zero}, {e}, U[1])")
+    else:  # mod2 / chopper: cell 0 is rows 0 and 2, cell 1 rows 1 and 3
+        assert loop is not None and spec.kind in ("mod2", "chopper")
+        _emit_lane_decision(src, d, loop, 1, pro)
+        fb = _emit_lane_feedback(src, d, loop, spec.b2, pro)
+        src.line(d, f"sub(X[i], {fb}[0::2], U[0::2])")
+        a1 = spec.a1 if spec.kind == "mod2" else -spec.a1
+        if a1 != 1.0:
+            src.line(d, f"mul(U[0::2], {pro.rows((a1, a1))}, U[0::2])")
+        held = "S[0::2]"
+        if spec.a2 != 1.0:
+            held = pro.buffer("u_a2", 2)
+            src.line(d, f"mul(S[0::2], {pro.rows((spec.a2, spec.a2))}, {held})")
+        if spec.kind == "mod2":
+            src.line(d, f"sub({held}, {fb}[1::2], U[1::2])")
+        else:
+            src.line(d, f"sub({fb}[1::2], {held}, U[1::2])")
+    gains = tuple(stage.gain for stage in stages) * 2
+    if any(g != 1.0 for g in gains):
+        src.line(d, f"mul(U, {pro.rows(gains)}, U)")
+    if stages[0].crossed:
+        src.line(d, "add(S[C:], U[:C], T[:C])")
+        src.line(d, "add(S[:C], U[C:], T[C:])")
+    else:
+        src.line(d, "add(S, U, T)")
+
+
+def lanes_source(spec: KernelSpec) -> tuple[str, _Layout]:
+    """Generate the lane-major program source and its argument layout.
+
+    Arguments: ``n_steps``; the stimulus ``X`` (``(n, 2, L)`` halves
+    for cell/delay/mod2/chopper, ``(n, L)`` for mod1/cascade); the
+    noise rows ``NA`` (``(n, rows, L)``: ``+0.5 n`` on positive rows,
+    ``-0.5 n`` on negative ones); the linear-settling flags ``LIN``
+    (``(n, rows, L)`` bool, written: the half did not slew); the state
+    ``S`` (``(rows, L)``, updated in
+    place); then ``out`` (``(n, L)``) for open-loop kinds, or the
+    decision masks ``M`` (``(n, L)`` bool, written) and the starting
+    ``last`` mask for loops; the loop streams; the probe buffers.
+    """
+    stages = spec.all_stages
+    layout = _Layout()
+    layout.arg_names.extend(("n_steps", "X", "NA", "LIN", "S"))
+    if spec.loop is None:
+        layout.arg_names.append("out")
+    else:
+        layout.arg_names.extend(("M", "last"))
+        _loop_stream_args(layout, spec.loop)
+    probe_args = _probe_args(layout, stages)
+
+    pro = _Prologue()
+    body = _Source()
+    _emit_lane_wiring(body, 2, spec, pro)
+    _emit_lane_cmff(body, 2, stages, pro)
+    for (j, tag), arg in probe_args.items():
+        if tag == "cmff":
+            body.line(2, f"mul(add(T[{j}], T[C + {j}]), 0.5, {arg}[i])")
+        else:
+            body.line(2, f"sub(T[{j}], T[C + {j}], {arg}[i])")
+    _emit_lane_store(body, 2, tuple(stage.cell for stage in stages), pro)
+
+    views, body_lines = _hoist_views(body.lines, pro.buffers | {"S"})
+    src = _Source()
+    src.line(0, f"def lanes({', '.join(layout.arg_names)}):")
+    src.line(1, "L = S.shape[1]")
+    src.line(1, f"C = {len(stages)}")
+    for text in pro.lines + views:
+        src.line(1, text)
+    src.line(1, "for i in range(n_steps):")
+    src.lines.extend(body_lines)
+    return src.text(), layout
+
+
+_SUBSCRIPT = re.compile(r"\b([A-Za-z_][A-Za-z_0-9]*)\[([^\[\]]*)\]")
+
+
+def _hoist_views(
+    lines: list[str], persistent: set[str]
+) -> tuple[list[str], list[str]]:
+    """Move step-invariant views of persistent arrays into the prologue.
+
+    ``S[0::2]`` inside the loop would build the same view every step;
+    every array it can be taken from is only ever written in place, so
+    the view is taken once.  Subscripts mentioning the step ``i`` stay.
+    """
+    names: dict[str, str] = {}
+
+    def hoist(match: re.Match[str]) -> str:
+        if match.group(1) not in persistent or re.search(r"\bi\b", match.group(2)):
+            return match.group(0)
+        return names.setdefault(match.group(0), f"v{len(names)}")
+
+    body = [_SUBSCRIPT.sub(hoist, line) for line in lines]
+    return [f"{name} = {expr}" for expr, name in names.items()], body
+
+
+def _rows(values: tuple[float, ...], lanes: int) -> np.ndarray:
+    """Return a ``(len(values), lanes)`` array with row r set to values[r]."""
+    return np.repeat(np.array(values, dtype=np.float64)[:, None], lanes, axis=1)
+
+
+#: The lane program's namespace: NumPy ufuncs under short names.
+_LANE_NAMESPACE: dict[str, Any] = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "absolute": np.absolute,
+    "negative": np.negative,
+    "maximum": np.maximum,
+    "ge": np.greater_equal,
+    "greater": np.greater,
+    "less": np.less,
+    "less_equal": np.less_equal,
+    "logical_not": np.logical_not,
+    "where": np.where,
+    "copyto": np.copyto,
+    "putmask": np.putmask,
+    "count_nonzero": np.count_nonzero,
+    "empty": np.empty,
+    "full": np.full,
+    "rows": _rows,
+}
+
+
+def compile_lanes(spec: KernelSpec) -> KernelProgram:
+    """Return the (cached) compiled lane-major program for ``spec``."""
+    return _compile(spec, "lanes", lanes_source, _LANE_NAMESPACE)

@@ -1,15 +1,16 @@
 """Kernel specs: frozen state-space descriptions of lowered designs.
 
 The compiled kernel tier executes a device by *transliterating* its
-configuration, never its Python methods -- the same contract the batch
-engine already honours.  This module is
-the lowering step: :func:`build_spec` walks a freshly built device,
-re-checks the declared lowering protocol
-(:mod:`repro.runtime.lowering`), and freezes every constant the run
-needs into a hashable :class:`KernelSpec`.  The spec is the *only*
-input to code generation (:mod:`repro.runtime.kernels.codegen`), so
-two devices with identical electrical configuration share one compiled
-kernel.
+configuration, never its Python methods.  This module is the lowering
+step: :func:`build_spec` walks a device, re-checks the declared
+lowering protocol (:mod:`repro.runtime.lowering`), and freezes every
+constant a run needs into a hashable :class:`KernelSpec`.  The spec is
+the *only* input to code generation
+(:mod:`repro.runtime.kernels.codegen`), which emits both the fused
+per-sample kernel and the lane-major sweep program from it, so two
+devices with identical electrical configuration share both programs
+and every lowered rung refuses exactly what :func:`build_spec`
+refuses.
 
 The linear part of each design is also exposed as explicit state-space
 matrices (:func:`state_matrices`) -- the A/B/C/D formulation of the
@@ -21,11 +22,11 @@ a fused ``A @ state`` would re-associate those sums.  The matrices are
 the documentation and analysis view; the generated source is the
 executable one.
 
-Unlike the batch engine, the kernel tier consumes the device's **live**
-random streams (the cell noise feeds, the quantiser metastability and
-dither streams, the DAC reference-noise stream), so it does not need
-seeds to be byte-identical with the scalar loop on the same device
-instance -- unseeded configurations lower too.  Only protocol
+Both programs consume the device's **live** random streams (the cell
+noise feeds, the quantiser metastability and dither streams, the DAC
+reference-noise stream), so they do not need seeds to be
+byte-identical with the scalar loop on the same device instance --
+unseeded configurations lower too.  Only protocol
 violations refuse: behavioural subclasses outside the declared hook
 allowlist, unpaired probe overrides, and device types without a
 transliteration.
@@ -306,9 +307,8 @@ def build_spec(device: object) -> KernelSpec:
     """Lower ``device`` to its kernel spec, or raise :class:`KernelUnsupported`.
 
     Re-checks the declared lowering protocol on the device and every
-    sub-component exactly like the batch runner constructors do, so the
-    kernel tier and the batch engine agree on which subclasses lower.
-    Seeds are *not* required: the kernel runner consumes the device's
+    sub-component; this is the single refusal source of every lowered
+    rung.  Seeds are *not* required: the runners consume the device's
     live streams (see the module docstring).
     """
     _refuse(device)

@@ -6,9 +6,13 @@ and falls through to its own per-sample scalar loop when that returns
 picks the rung:
 
 * ``auto`` (the default) and ``kernel`` run the compiled state-space
-  kernel (:mod:`repro.runtime.kernels`), the only single-run lowering;
-* ``batch`` runs the NumPy lane engine at ``n_lanes == 1``;
+  kernel (:mod:`repro.runtime.kernels`);
+* ``batch`` runs the lane-major program generated from the same
+  :class:`~repro.runtime.kernels.KernelSpec`, as one lane;
 * ``scalar`` always declines, leaving the device on its scalar loop.
+
+Both lowered rungs go through :func:`~repro.runtime.kernels.build_spec`,
+so they accept and refuse exactly the same devices.
 
 Whatever rung runs is **bit-identical** to the scalar loop: it leaves
 the devices' own random streams where the per-sample loop would and
@@ -29,9 +33,7 @@ from contextlib import AbstractContextManager
 
 import numpy as np
 
-from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.runtime.engine import current_engine, record_engine_run, use_engine
-from repro.si.differential import DifferentialSample
 
 __all__ = ["run_single", "force_scalar", "consume_fallbacks"]
 
@@ -88,77 +90,21 @@ def _run_kernel_single(device: object, data: np.ndarray) -> np.ndarray | None:
         return _note(device, str(error))
 
 
-def _run_batch_single(device: object, data: np.ndarray) -> np.ndarray | None:
-    """Run one device through the batch engine at ``n_lanes == 1``.
+def _run_lanes_single(device: object, data: np.ndarray) -> np.ndarray | None:
+    """Run one device as a single lane of its lane-major program.
 
-    The batch engine replays every random stream from its origin with a
-    fresh :class:`~repro.noise.streams` instance, so this rung only
-    applies to devices whose streams are still at the origin (no prior
-    steps).  After the run the device's own streams are fast-forwarded
-    and its cell/quantiser state written back, leaving the device in
-    exactly the state the scalar loop would have produced.
+    The lane continues from the device's current state, consuming its
+    live streams like the kernel does, so the ``batch`` pin needs no
+    fresh device and no seeds.
     """
-    from repro.runtime.batch import (
-        BatchUnsupported,
-        batch_runner_for,
-        fast_forward_streams,
-        iter_cells,
-    )
+    from repro.runtime.kernels import KernelUnsupported, run_lanes
 
     if data.ndim != 1:
         return _note(device, "input is not 1-D")
-    n = int(data.shape[0])
-    if n == 0:
-        return _note(device, "batch single-run needs at least one sample")
     try:
-        cells = list(iter_cells(device))
-    except BatchUnsupported as error:
+        return run_lanes(device, data[np.newaxis, :], reset=False)[0]
+    except KernelUnsupported as error:
         return _note(device, str(error))
-    if any(cell._steps != 0 for cell in cells):
-        return _note(
-            device,
-            "batch single-run replays streams from origin and needs a "
-            "fresh device",
-        )
-    # The device's own run() feeds its loop probes after we return, so
-    # detach telemetry for the replay to avoid feeding them twice.
-    session = getattr(device, "_telemetry", None)
-    if session is not None:
-        device._telemetry = None
-    try:
-        runner = batch_runner_for(device, 1, n)
-        output = runner.run(data[np.newaxis, :])
-    except BatchUnsupported as error:
-        return _note(device, str(error))
-    finally:
-        if session is not None:
-            device._telemetry = session
-    bank = runner._bank
-    for index, cell in enumerate(cells):
-        cell._stored = DifferentialSample(
-            float(bank.state[2 * index, 0]), float(bank.state[2 * index + 1, 0])
-        )
-        cell._steps += n
-        cell._slew_events += int(bank.slew_counts[index, 0])
-    fast_forward_streams(device, n)
-    out = np.ascontiguousarray(output[0])
-    quantizer = getattr(device, "quantizer", None)
-    if isinstance(quantizer, CurrentQuantizer):
-        # The bitstream is decision * full_scale (chopped back to the
-        # input frame for the chopper), so the final decision is
-        # recoverable from the last output sample's sign.
-        from repro.deltasigma.chopper_modulator import (
-            ChopperStabilizedSIModulator,
-        )
-
-        last_value = float(out[-1])
-        if (
-            isinstance(device, ChopperStabilizedSIModulator)
-            and (n - 1) % 2 == 1
-        ):
-            last_value = -last_value
-        quantizer._last_decision = 1 if last_value > 0.0 else -1
-    return out
 
 
 def run_single(device: object, data: np.ndarray) -> np.ndarray | None:
@@ -166,7 +112,7 @@ def run_single(device: object, data: np.ndarray) -> np.ndarray | None:
 
     The engine comes from :func:`repro.runtime.engine.use_engine`:
     ``auto`` (the default) and ``kernel`` run the compiled kernel,
-    ``batch`` runs the lane engine at ``n_lanes == 1`` and ``scalar``
+    ``batch`` runs the lane-major program as one lane and ``scalar``
     (also :func:`force_scalar`) always declines.  Whatever rung runs
     is bit-identical to the device's scalar loop, with device state
     and random streams advanced identically.
@@ -182,7 +128,7 @@ def run_single(device: object, data: np.ndarray) -> np.ndarray | None:
     if engine == "scalar":
         result = None
     elif engine == "batch":
-        result = _run_batch_single(device, data)
+        result = _run_lanes_single(device, data)
     else:
         result = _run_kernel_single(device, data)
     if result is None:

@@ -3,24 +3,25 @@
 This is the engine behind ``repro sweep`` and
 ``repro report --jobs``: it runs the same experiment as
 :func:`repro.analysis.sweeps.run_amplitude_sweep` -- one lane per
-input level -- but executes all lanes of a shard through the batch
-runners of :mod:`repro.runtime.batch` and shards lanes across a
-:class:`~repro.runtime.executor.SweepExecutor`.
+input level -- but executes the lanes of a shard on a lowered rung
+and shards lanes across a :class:`~repro.runtime.executor.SweepExecutor`.
+Narrow shards run the compiled kernel lane by lane; wide ones run the
+lane-major program generated from the same
+:class:`~repro.runtime.kernels.KernelSpec`
+(:func:`repro.runtime.kernels.run_lanes`, the ``batch`` rung).
 
 Determinism contract (``docs/RUNTIME.md``):
 
 * the scalar sweep runs its levels against *one* device instance, so
-  lane ``k`` consumes the ``k``-th slice of every cell's noise stream;
-  a shard starting at ``lane_offset`` fast-forwards each stream by
-  exactly ``lane_offset * total_samples`` draws before running, which
-  makes the result independent of the shard layout -- and bit-identical
-  to the scalar loop;
-* seeded quantizer metastability, seeded DAC reference noise and
-  attached probes all lower through the batch engine (streams sliced
-  per lane, probes fed lane-major); only configurations with no
-  replayable randomness (unseeded streams, exotic device subclasses)
-  fall back to the scalar device per lane, with every stream -- cell
-  noise, metastability, reference noise -- fast-forwarded identically;
+  lane ``k`` consumes the ``k``-th slice of every live random stream
+  (cell noise, quantiser metastability and dither, DAC reference
+  noise); a shard starting at ``lane_offset`` fast-forwards each
+  stream by exactly ``lane_offset * total_samples`` draws before
+  running, which makes the result independent of the shard layout --
+  and bit-identical to the scalar loop;
+* every rung consumes the device's own streams, so seeds are not
+  required; only a design :func:`~repro.runtime.kernels.build_spec`
+  refuses (an exotic subclass) runs on the scalar device per lane;
 * a cache entry stores the five :class:`ToneMetrics` fields per lane as
   float64 arrays, so a hit reconstructs the sweep result bit for bit.
 """
@@ -41,11 +42,6 @@ from repro.analysis.sweeps import AmplitudeSweepResult
 from repro.analysis.windows import WindowKind
 from repro.config import MODULATOR_FULL_SCALE
 from repro.errors import AnalysisError
-from repro.runtime.batch import (
-    BatchUnsupported,
-    batch_runner_for,
-    fast_forward_streams,
-)
 from repro.observability.instruments import get_registry
 from repro.observability.spanio import WorkerTelemetry, graft_spans
 from repro.runtime.cache import ResultCache
@@ -209,11 +205,25 @@ class _ShardResult:
     engine: str
 
 
-#: Measured crossover between the compiled kernel run lane-by-lane and
-#: the NumPy batch engine running all lanes at once: below this many
-#: lanes the kernel's per-sample fusion beats the batch's lane
-#: vectorisation, above it the lanes amortise the Python dispatch.
-_KERNEL_CROSSOVER_LANES = 16
+#: Widest shard ``auto`` runs on the compiled kernel, lane by lane, by
+#: the design's cell count; wider shards run the lane-major program.
+#: The kernel costs a fixed time per lane-sample while the lane
+#: program's per-step NumPy dispatch amortises over the lanes, and a
+#: one-cell loop (modulator1) has the cheapest kernel.  Measured
+#: (2-vCPU x86, no numba, 8K-sample lanes, ``run_sweep`` ns per
+#: lane-sample, kernel / lane program, best of 3; the host is noisy, so
+#: only the side of each crossover is meaningful):
+#:
+#: ======  =============  =============  =============
+#: lanes   modulator1     modulator2     chopper
+#: ======  =============  =============  =============
+#: 4       2794 / 8316    4992 / 7328    2980 / 4834
+#: 6       3245 / 6332    4896 / 5629    3095 / 3407
+#: 8       2974 / 4356    4820 / 3161    3510 / 3046
+#: 12      3004 / 3076    3108 / 1724    3324 / 2091
+#: 16      2944 / 2242    3998 / 1583    4454 / 2576
+#: ======  =============  =============  =============
+_KERNEL_CROSSOVER_LANES: dict[int, int] = {1: 12, 2: 6}
 
 
 def _sequential_lanes(
@@ -242,14 +252,22 @@ def _run_lane_chunk(
 ) -> _ShardResult:
     """Run one contiguous block of sweep lanes; module-level for pickling.
 
-    ``engine`` selects the rung: ``auto`` uses the compiled kernel for
-    narrow shards (``<= _KERNEL_CROSSOVER_LANES`` lanes) when the
-    design lowers, the batch engine otherwise, and the scalar device
-    as the last resort; ``kernel``/``batch``/``scalar`` pin one rung
-    (a pinned rung that refuses falls down the remaining ladder).
-    All rungs are bit-identical, so ``engine`` is deliberately not
-    part of the cache key.
+    ``engine`` selects the rung: ``auto`` runs the compiled kernel lane
+    by lane for narrow shards (see ``_KERNEL_CROSSOVER_LANES``) and the
+    lane-major program (``batch``) for wide ones;
+    ``kernel``/``batch``/``scalar`` pin one rung.  A design that
+    refuses lowering runs on the scalar loop, counted in
+    ``repro.batch.refusals``.  All rungs are bit-identical, so
+    ``engine`` is deliberately not part of the cache key.
     """
+    from repro.runtime.engine import record_engine_run
+    from repro.runtime.kernels import (
+        fast_forward_streams,
+        iter_cells,
+        kernel_refusal,
+        run_lanes,
+    )
+
     started = time.perf_counter()
     total = spec.n_samples + spec.settle_samples
     t = np.arange(total) / spec.sample_rate
@@ -262,39 +280,25 @@ def _run_lane_chunk(
         stimuli[lane] = amplitude * carrier
 
     device = _build_device(spec)
-    outputs: np.ndarray | None = None
-    if engine == "scalar":
-        fast_forward_streams(device, context.lane_offset * total)
-        outputs = _sequential_lanes(device, stimuli, "scalar")
+    # Lanes consume the device's live streams, so a shard first skips
+    # the slices owned by the lanes before it.
+    fast_forward_streams(device, context.lane_offset * total)
+    engine_used = engine
+    if engine != "scalar" and kernel_refusal(device) is not None:
+        get_registry().counter(
+            "repro.batch.refusals",
+            help="sweep shards whose design refused lowering (scalar fallback taken)",
+        ).inc(device=type(device).__name__)
         engine_used = "scalar"
+    elif engine == "auto":
+        n_cells = min(len(iter_cells(device)), 2)
+        narrow = len(levels) <= _KERNEL_CROSSOVER_LANES[n_cells]
+        engine_used = "kernel" if narrow else "batch"
+    if engine_used == "batch":
+        outputs = run_lanes(device, stimuli)
+        record_engine_run("batch", device, count=len(levels))
     else:
-        want_kernel = engine == "kernel" or (
-            engine == "auto" and len(levels) <= _KERNEL_CROSSOVER_LANES
-        )
-        if want_kernel:
-            from repro.runtime.kernels import kernel_refusal
-
-            if kernel_refusal(device) is None:
-                fast_forward_streams(device, context.lane_offset * total)
-                outputs = _sequential_lanes(device, stimuli, "kernel")
-                engine_used = "kernel"
-    if outputs is None:
-        try:
-            runner = batch_runner_for(
-                device,
-                n_lanes=len(levels),
-                n_steps=total,
-                lane_offset=context.lane_offset,
-            )
-            outputs = runner.run(stimuli)
-            engine_used = "batch"
-            from repro.runtime.engine import record_engine_run
-
-            record_engine_run("batch", device, count=len(levels))
-        except BatchUnsupported:
-            fast_forward_streams(device, context.lane_offset * total)
-            outputs = _sequential_lanes(device, stimuli, "auto")
-            engine_used = "scalar"
+        outputs = _sequential_lanes(device, stimuli, engine_used)
 
     window = WindowKind(spec.window)
     metrics = []
@@ -410,7 +414,8 @@ def run_sweep(
         the result bit for bit from the stored metric arrays.
     engine:
         Execution rung per shard: ``auto`` (default) picks the compiled
-        kernel for narrow shards and the batch engine otherwise;
+        kernel for narrow shards and the lane-major program (``batch``)
+        otherwise;
         ``kernel``/``batch``/``scalar`` pin one rung.  All rungs are
         bit-identical, so the choice does not enter the cache key and a
         cache hit is valid for every engine.

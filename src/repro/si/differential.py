@@ -39,6 +39,11 @@ class DifferentialSample:
     def __repr__(self) -> str:
         return f"DifferentialSample(pos={self.pos!r}, neg={self.neg!r})"
 
+    def __reduce__(self) -> tuple[type, tuple[float, float]]:
+        # Copy and pickle through the constructor: the default slot
+        # restore would go through the refusing __setattr__.
+        return (DifferentialSample, (self.pos, self.neg))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DifferentialSample):
             return NotImplemented

@@ -7,6 +7,10 @@ DAC reference noise, and telemetry-probed runs.  Hypothesis drives the
 device variants and stimuli; each drawn case runs once through the
 scalar loop and once per engine rung on an identically-seeded twin.
 
+The lane-major ``batch`` program is also drawn at 1-40 lanes, whole
+or split into two shards the way ``--jobs 2`` splits a sweep, against
+``_sequential_lanes(..., "scalar")`` on an identically built twin.
+
 Probe statistics are the one deliberate exception: ``observe_array``
 accumulates with pairwise summation while the scalar loop's
 ``observe`` is sequential, so means/rms agree to 1e-12 relative, not
@@ -27,8 +31,14 @@ from repro.deltasigma.modulator1 import SIModulator1
 from repro.deltasigma.modulator2 import SIModulator2
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.runtime.engine import use_engine
+from repro.runtime.executor import SweepExecutor
+from repro.runtime.kernels import fast_forward_streams, iter_cells, run_lanes
 from repro.runtime.single import consume_fallbacks, force_scalar
-from repro.runtime.sweeps import run_sweep, sweep_spec_for_design
+from repro.runtime.sweeps import (
+    _sequential_lanes,
+    run_sweep,
+    sweep_spec_for_design,
+)
 from repro.telemetry.designs import TRACE_DESIGNS
 from repro.telemetry.session import TelemetrySession
 
@@ -135,6 +145,64 @@ class TestModulatorParity:
             )
 
 
+def _loop_state(device):
+    """Everything the next run starts from: cells, hysteresis, streams."""
+    cells = tuple(
+        (
+            cell._stored.pos,
+            cell._stored.neg,
+            cell._steps,
+            cell._slew_events,
+            cell._noise.next(),
+        )
+        for cell in iter_cells(device)
+    )
+    quantizer = device.quantizer
+    streams = (quantizer._stream.next(), device.dac._stream.next())
+    if isinstance(quantizer, DitheredQuantizer):
+        streams += (quantizer._dither.next(),)
+    return cells, quantizer._last_decision, streams
+
+
+class TestLaneParity:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MODULATOR_KINDS)),
+        dither=st.booleans(),
+        metastable=st.booleans(),
+        dac_noise=st.booleans(),
+        n_lanes=st.integers(min_value=1, max_value=40),
+        jobs=st.sampled_from((1, 2)),
+        amplitude=st.floats(min_value=1e-7, max_value=2e-5),
+        n=st.integers(min_value=16, max_value=128),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_lanes_match_sequential_scalar_lanes(
+        self, kind, dither, metastable, dac_noise, n_lanes, jobs, amplitude, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        levels = amplitude * rng.uniform(0.01, 1.0, n_lanes)
+        stimuli = levels[:, None] * _stimulus(n, 1.0, seed)[None, :]
+        reference = _build_modulator(kind, dither, metastable, dac_noise)
+        want = _sequential_lanes(reference, stimuli, "scalar")
+
+        # A shard owns a contiguous block of lanes on its own freshly
+        # built device, skipped past the lanes before it.
+        split = n_lanes // 2 if jobs == 2 and n_lanes > 1 else 0
+        outputs = []
+        for start, stop in ((0, split), (split, n_lanes)):
+            if start == stop:
+                continue
+            device = _build_modulator(kind, dither, metastable, dac_noise)
+            fast_forward_streams(device, start * n)
+            outputs.append(run_lanes(device, stimuli[start:stop]))
+        got = np.concatenate(outputs)
+        assert got.tobytes() == want.tobytes()
+        # The last shard's device ends where the sequential one does:
+        # cell state, step and slew counters, hysteresis, streams.
+        assert _loop_state(device) == _loop_state(reference)
+
+
 class TestTraceDesignParity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
@@ -186,3 +254,13 @@ class TestSweepParity:
         for engine, got in results.items():
             assert got.sndr_db.tobytes() == want.sndr_db.tobytes(), engine
             assert got.metrics == want.metrics, engine
+
+    def test_two_shard_batch_sweep_matches_the_scalar_sweep(self):
+        # `--jobs 2` splits the lanes over two worker processes, each
+        # running the lane-major program on its own device.
+        spec = sweep_spec_for_design(
+            "chopper", n_samples=1 << 13, levels_db=(-50.0, -30.0, -12.0, -6.0)
+        )
+        want = run_sweep(spec, engine="scalar")
+        got = run_sweep(spec, executor=SweepExecutor(jobs=2), engine="batch")
+        assert got.metrics == want.metrics

@@ -78,8 +78,8 @@ class TestBuildSpec:
             build_spec(device)
 
     def test_unseeded_dither_still_lowers(self):
-        # Unlike the batch engine, the kernel consumes the device's
-        # live streams, so seeds are not required for byte-equality.
+        # Both generated programs consume the device's live streams,
+        # so seeds are not required for byte-equality.
         device = SIModulator2(
             cell_config=MOD_CONFIG,
             quantizer=DitheredQuantizer(2e-7, seed=None),

@@ -2,9 +2,10 @@
 
 Before the protocol existed the engines used blanket exact-type
 checks; now a subclass that only touches metadata hooks keeps its
-bit-exact batch lowering, while behavioural overrides refuse with a
-named reason.  These tests pin both halves, plus the probe pairing
-rule shared by the batch and single-run paths.
+bit-exact lowering on every rung, while behavioural overrides refuse
+with a named reason (raised by ``build_spec`` for the kernel and the
+lane-major ``batch`` program alike).  These tests pin both halves,
+plus the probe pairing rule shared by the sweep and single-run paths.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.config import paper_cell_config
 from repro.deltasigma.quantizer import CurrentQuantizer
-from repro.runtime.batch import BatchUnsupported, batch_runner_for
+from repro.runtime.kernels import KernelUnsupported, run_lanes
 from repro.runtime.lowering import (
     LOWERING_PROTOCOL,
     PROTOCOL_BY_QUALNAME,
@@ -25,7 +26,7 @@ from repro.runtime.lowering import (
     protocol_for,
     subclass_refusal,
 )
-from repro.runtime.single import consume_fallbacks, run_single
+from repro.runtime.single import consume_fallbacks, force_scalar, run_single
 from repro.si.delay_line import DelayLine
 from repro.si.memory_cell import ClassABMemoryCell
 from repro.telemetry.probes import SignalProbe
@@ -125,22 +126,21 @@ def test_metadata_subclass_batches_bit_exactly():
     """The protocol's new capability: a metadata subclass still lowers
     and stays byte-identical to its own scalar loop."""
     device = AnnotatedCell(paper_cell_config())
+    twin = AnnotatedCell(paper_cell_config())
     stimuli = _stimuli()
-    runner = batch_runner_for(
-        device, n_lanes=stimuli.shape[0], n_steps=stimuli.shape[1]
-    )
-    batch = runner.run(stimuli)
+    batch = run_lanes(device, stimuli)
     scalar = np.empty_like(stimuli)
-    for lane in range(stimuli.shape[0]):
-        device.reset()
-        scalar[lane] = device.run(stimuli[lane])
+    with force_scalar():
+        for lane in range(stimuli.shape[0]):
+            twin.reset()
+            scalar[lane] = twin.run(stimuli[lane])
     assert batch.tobytes() == scalar.tobytes()
 
 
 def test_behavioural_override_refuses_batch_with_named_reason():
     device = TamperedLine(paper_cell_config(), n_cells=2)
-    with pytest.raises(BatchUnsupported) as excinfo:
-        batch_runner_for(device, 2, 16)
+    with pytest.raises(KernelUnsupported) as excinfo:
+        run_lanes(device, _stimuli())
     assert str(excinfo.value) == hook_refusal(
         "delay line", "TamperedLine", "step", "DelayLine"
     )
@@ -149,8 +149,8 @@ def test_behavioural_override_refuses_batch_with_named_reason():
 def test_unpaired_probe_refuses_batch():
     cell = ClassABMemoryCell(paper_cell_config())
     cell._probe = UnpairedProbe("cell.input")
-    with pytest.raises(BatchUnsupported) as excinfo:
-        batch_runner_for(cell, 2, 16)
+    with pytest.raises(KernelUnsupported) as excinfo:
+        run_lanes(cell, _stimuli())
     assert str(excinfo.value) == probe_pair_refusal("UnpairedProbe")
 
 
@@ -166,5 +166,4 @@ def test_unpaired_probe_falls_back_on_the_single_path():
 def test_paired_probe_keeps_the_batch_lowering():
     cell = ClassABMemoryCell(paper_cell_config())
     cell._probe = PairedProbe("cell.input")
-    runner = batch_runner_for(cell, 2, 16)
-    assert runner is not None
+    assert run_lanes(cell, _stimuli()).shape == (2, 64)

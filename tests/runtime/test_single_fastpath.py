@@ -7,8 +7,8 @@ per-sample scalar loop, which stays in the tree as the parity oracle
 behind :func:`force_scalar`.  These tests assert that contract with
 ``tobytes()`` across every supported device and every randomised
 element (cell noise, flicker, quantizer metastability, DAC reference
-noise), plus the live-stream property the batch engine cannot offer:
-state and stream continuation across sequential runs on one device.
+noise), plus the live-stream property: state and stream continuation
+across sequential runs on one device.
 They also pin the two-rung ``auto`` ladder (kernel, else scalar) and
 its refusal accounting.
 """
@@ -31,7 +31,7 @@ from repro.deltasigma import (
 from repro.deltasigma.dac import FeedbackDac
 from repro.deltasigma.quantizer import CurrentQuantizer
 from repro.observability.instruments import InstrumentRegistry, use_registry
-from repro.runtime.batch import iter_cells
+from repro.runtime.kernels import iter_cells
 from repro.runtime.engine import use_engine
 from repro.runtime.single import consume_fallbacks, force_scalar, run_single
 from repro.si import DelayLine

@@ -173,10 +173,13 @@ class TestWorker:
         assert tail.metrics == whole.metrics[1:]
 
     def test_scalar_fallback_with_lane_offset(self, monkeypatch):
-        # Disable the batch lowering to force the per-lane fallback and
-        # check it lands on the same numbers (same noise slicing).
-        import repro.runtime.sweeps as sweeps_module
-        from repro.runtime.batch import BatchUnsupported
+        # Refuse the lowering to force the per-lane scalar fallback and
+        # check it lands on the same numbers (same stream slicing).
+        import repro.runtime.kernels as kernels_module
+        from repro.observability.instruments import (
+            InstrumentRegistry,
+            use_registry,
+        )
         from repro.runtime.executor import ShardContext
         from repro.runtime.sweeps import _run_lane_chunk
 
@@ -184,11 +187,16 @@ class TestWorker:
         context = ShardContext(0, 1, 0, len(LEVELS), seed_entropy=(0, 0, 0))
         batch = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
 
-        def refuse(*args, **kwargs):
-            raise BatchUnsupported("forced scalar path")
-
-        monkeypatch.setattr(sweeps_module, "batch_runner_for", refuse)
-        scalar = _run_lane_chunk(spec, list(LEVELS), context, engine="batch")
+        monkeypatch.setattr(
+            kernels_module, "kernel_refusal", lambda device: "forced scalar path"
+        )
+        registry = InstrumentRegistry()
+        with use_registry(registry):
+            scalar = _run_lane_chunk(
+                spec, list(LEVELS), context, engine="batch"
+            )
+        refusals = registry.snapshot()["instruments"]["repro.batch.refusals"]
+        assert sum(entry["value"] for entry in refusals["series"]) == 1.0
         assert scalar.engine == "scalar"
         assert scalar.metrics == batch.metrics
         tail_context = ShardContext(

@@ -1,26 +1,37 @@
 """Analyzer vs runtime: the lowerability rules may never disagree.
 
-Every SC010-SC012 finding carries the exact
-:class:`~repro.runtime.batch.BatchUnsupported` message it predicts.
-These tests put that claim under load from both directions:
+Every SC010/SC012 finding carries the exact
+:class:`~repro.runtime.kernels.KernelUnsupported` message it predicts,
+and :func:`~repro.runtime.kernels.build_spec` is the single source of
+those refusals for every lowered rung.  These tests put that claim
+under load from both directions:
 
 * each synthetic case below is **both** statically analyzed (as
   source) and executed (as code) -- when the analyzer predicts a
-  refusal the runtime must raise it verbatim, and when the analyzer
-  stays silent the runtime must lower the device;
+  refusal ``build_spec`` must raise it verbatim (and
+  :func:`~repro.runtime.kernels.kernel_refusal` must name it), and
+  when the analyzer stays silent the device must lower;
 * every registered trace design must lower, matching the zero
   lowerability findings ``repro lint`` reports on the repo sources.
 """
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from repro.config import MODULATOR_CLOCK, paper_cell_config
 from repro.deltasigma.modulator1 import SIModulator1
-from repro.runtime.batch import BatchUnsupported, batch_runner_for
+from repro.runtime.engine import use_engine
+from repro.runtime.kernels import (
+    KernelUnsupported,
+    build_spec,
+    kernel_refusal,
+    run_lanes,
+)
 from repro.staticcheck import run_lint
 from repro.staticcheck.lowerability import LOWERABILITY_RULES
 from repro.staticcheck.model import ModuleContext
@@ -155,7 +166,9 @@ CASES = [
         expected_findings=0,
     ),
     Case(
-        name="unseeded-noisy-config-refuses",
+        # Lanes consume the device's live streams, so an unseeded noisy
+        # configuration lowers (see test_unseeded_noisy_sweep_matches...).
+        name="unseeded-noisy-config-lowers",
         source=(
             "from repro.si.memory_cell import ClassABMemoryCell, MemoryCellConfig\n"
             "\n"
@@ -164,7 +177,7 @@ CASES = [
             "    return ClassABMemoryCell(MemoryCellConfig(seed=None))\n"
         ),
         build=lambda ns: ns["build_cell"](),
-        expected_findings=1,
+        expected_findings=0,
     ),
 ]
 
@@ -189,20 +202,42 @@ def test_analyzer_and_runtime_agree(case):
     if findings:
         (finding,) = findings
         assert finding.predicts is not None
-        with pytest.raises(BatchUnsupported) as excinfo:
-            batch_runner_for(device, N_LANES, N_STEPS)
+        with pytest.raises(KernelUnsupported) as excinfo:
+            build_spec(device)
         assert str(excinfo.value) == finding.predicts
+        assert kernel_refusal(device) == finding.predicts
     else:
-        runner = batch_runner_for(device, N_LANES, N_STEPS)
-        assert runner is not None
+        assert kernel_refusal(device) is None
+        assert build_spec(device) is not None
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_DESIGNS))
 def test_every_trace_design_lowers(name):
     """The positive half of the agreement: registered designs lower."""
     device = TRACE_DESIGNS[name].build()
-    runner = batch_runner_for(device, N_LANES, N_STEPS)
-    assert runner is not None
+    assert kernel_refusal(device) is None
+    assert build_spec(device).kind
+
+
+def test_unseeded_noisy_sweep_matches_sequential_scalar_lanes():
+    """The configuration SC011 used to flag lowers and stays exact:
+    32 lanes of an unseeded noisy modulator equal 32 sequential scalar
+    runs on a deep copy (which carries the same generator state)."""
+    from repro.config import MemoryCellConfig
+
+    device = SIModulator1(
+        cell_config=MemoryCellConfig(seed=None),
+        sample_rate=MODULATOR_CLOCK,
+    )
+    twin = copy.deepcopy(device)
+    t = np.arange(96)
+    stimuli = np.linspace(1e-7, 5e-6, 32)[:, None] * np.sin(
+        2.0 * np.pi * 5.0 * t / 96
+    )
+    lanes = run_lanes(device, stimuli)
+    with use_engine("scalar"):
+        scalar = np.array([twin(row) for row in stimuli])
+    assert lanes.tobytes() == scalar.tobytes()
 
 
 def test_repo_sources_predict_no_unbaselined_refusals(monkeypatch):
@@ -213,7 +248,7 @@ def test_repo_sources_predict_no_unbaselined_refusals(monkeypatch):
         ["src/repro"], baseline=REPO_ROOT / "baselines" / "staticcheck.json"
     )
     codes = {f.rule for f in report.findings}
-    assert not codes & {"SC010", "SC011", "SC012"}
+    assert not codes & {"SC010", "SC012"}
     # The baseline is empty: nothing in the shipped sources needs a
     # suppression any more (DitheredQuantizer joined the protocol and
     # every RNG site is seeded at the API boundary).
