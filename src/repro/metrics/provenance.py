@@ -13,9 +13,9 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -124,6 +124,15 @@ class Provenance:
             "engine": self.engine,
         }
 
+    def restamped(self, argv: Sequence[str]) -> "Provenance":
+        """Return a copy timestamped now for ``argv``; other facts are kept.
+
+        A long-lived process collects its provenance once and stamps a
+        copy per artifact, so the git facts describe the code it loaded
+        and no artifact pays for the git subprocesses again.
+        """
+        return replace(self, timestamp=_utc_now(), argv=tuple(argv))
+
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Provenance":
         """Rebuild a provenance block from :meth:`as_dict` output.
@@ -149,6 +158,11 @@ class Provenance:
         )
 
 
+def _utc_now() -> str:
+    """Return the current UTC time as ISO-8601, to the second."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 def collect_provenance(argv: list[str] | None = None) -> Provenance:
     """Collect the provenance of the current process.
 
@@ -161,7 +175,7 @@ def collect_provenance(argv: list[str] | None = None) -> Provenance:
     return Provenance(
         git_sha=git_sha(),
         git_dirty=_git_dirty(),
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        timestamp=_utc_now(),
         python_version=f"{version.major}.{version.minor}.{version.micro}",
         numpy_version=str(np.__version__),
         platform=platform.platform(),

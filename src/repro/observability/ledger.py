@@ -26,17 +26,20 @@ head, with a second ``"entry_id"`` key after it (or a ``\\u`` escape
 that could spell one), or with a byte at which ``str.splitlines`` would
 break it but ``\\n`` does not.  A torn line merged with the next append
 keeps the torn line's head, so these ids are a superset of what
-:meth:`RunLedger.entries` yields; a hit is confirmed against it before
-``append`` skips the write, and only a real duplicate pays that full
-decode.  An instance keeps the offset it has scanned up to (the last
-newline) and reads only the bytes after it on its next append, starting
-over when the file shrank or is another inode.  An in-place rewrite
-that leaves the file at least as long as the scanned part goes
-unnoticed by a long-lived instance; a fresh one always reads it all.
-So a fresh append costs one read of the file and a byte search per
-line (~25 ms on a 3,000-entry, 16.5 MB ledger on a 2-vCPU x86 host,
-against ~0.2 s to decode every line), and an instance that appends
-again pays only for the bytes added since.
+:meth:`RunLedger.entries` yields.  The scan therefore keeps, per id,
+the offsets of the lines it found the id in, and a hit is confirmed by
+decoding just those lines before ``append`` skips the write.  An
+instance keeps the offset it has scanned up to (the last newline) and
+reads only the bytes after it on its next append, starting over when
+the file shrank or is another inode.  An in-place rewrite that leaves
+the file at least as long as the scanned part goes unnoticed by a
+long-lived instance; a fresh one always reads it all.  So a fresh
+append costs one read of the file and a byte search per line (~45 ms
+on a 3,000-entry, 16.6 MB ledger on a 2-vCPU x86 host), and an
+instance that appends again pays only for the bytes added since
+(~0.4 ms), which is why a long-lived process such as ``repro serve``
+keeps one instance.  The scan, the confirmation and the write run
+under one per-instance lock, so threads may share an instance.
 
 The cross-run analytics in :mod:`repro.observability.trend` consume
 this file; ``repro history <design>`` renders it.
@@ -49,6 +52,7 @@ import json
 import locale
 import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -230,14 +234,15 @@ def _parse_line(line: str) -> LedgerEntry | None:
         return None
 
 
-def _stored_ids(chunk: bytes) -> Iterator[str]:
-    """Yield a superset of the entry ids the lines of ``chunk`` hold.
+def _stored_ids(chunk: bytes) -> Iterator[tuple[int, str]]:
+    """Yield ``(line offset, id)`` for a superset of the ids in ``chunk``.
 
     A line whose head :data:`_LINE_HEAD` vouches for contributes its
     stored id without being decoded; any other line is decoded the way
     :meth:`RunLedger.entries` decodes it.  A vouched line holds no id
     but its head's, yet may hold none at all (a torn line merged with
-    the next append), hence "superset".
+    the next append), hence "superset".  Offsets are those of the
+    ``\\n``-terminated line within ``chunk``.
     """
     plain = _splits_on_newlines_only(chunk)
     start, end = 0, len(chunk)
@@ -251,14 +256,24 @@ def _stored_ids(chunk: bytes) -> Iterator[str]:
             and (plain or _splits_on_newlines_only(chunk[start:stop]))
             and _keeps_head_id(chunk, head.end(), stop)
         ):
-            yield head.group(1).decode("ascii")
+            yield start, head.group(1).decode("ascii")
         else:
-            text = chunk[start:stop].decode(locale.getpreferredencoding(False))
-            for line in text.splitlines():
-                entry = _parse_line(line)
-                if entry is not None:
-                    yield entry.entry_id
+            for entry in _decode(chunk[start:stop]):
+                yield start, entry.entry_id
         start = stop + 1
+
+
+def _decode(raw: bytes) -> Iterator[LedgerEntry]:
+    """Yield the entries :meth:`RunLedger.entries` reads from ``raw``.
+
+    ``raw`` is one ``\\n``-delimited line of the file; ``\\n`` is never
+    part of a multi-byte character, so decoding it alone reads it as
+    decoding the whole file does.
+    """
+    for line in raw.decode(locale.getpreferredencoding(False)).splitlines():
+        entry = _parse_line(line)
+        if entry is not None:
+            yield entry
 
 
 def _splits_on_newlines_only(raw: bytes) -> bool:
@@ -297,11 +312,15 @@ class RunLedger:
         self.directory = Path(directory)
         self.path = self.directory / "ledger.jsonl"
         # Dedup state (see the module docstring): the ids stored in the
-        # file's first ``_scanned`` bytes, a superset confirmed on a hit,
-        # and the (device, inode) those bytes were read from.
+        # file's first ``_scanned`` bytes, each with the offsets of the
+        # lines it was found in (a superset confirmed on a hit), and the
+        # (device, inode) those bytes were read from.  ``_lock`` makes
+        # scan -> confirm -> write one step for threads sharing the
+        # instance.
         self._scanned = 0
-        self._stored: set[str] = set()
+        self._stored: dict[str, list[int]] = {}
         self._file_id: tuple[int, int] | None = None
+        self._lock = threading.Lock()
 
     # -- writing -------------------------------------------------------
 
@@ -317,7 +336,9 @@ class RunLedger:
         The entry id is computed from the content; an id already in
         the ledger is *not* appended again (re-running ``repro
         bench-gate`` on an unchanged telemetry file adds nothing), so
-        the history stays one line per distinct measurement.
+        the history stays one line per distinct measurement.  Safe to
+        call from several threads on one instance: the scan, the
+        duplicate check and the write happen under the instance's lock.
 
         Raises
         ------
@@ -344,16 +365,15 @@ class RunLedger:
             raise ObservabilityError(
                 f"ledger payload for kind {kind!r} is not JSON-serializable: {exc}"
             ) from exc
-        self._scan()
-        if entry.entry_id in self._stored and any(
-            stored.entry_id == entry.entry_id for stored in self.entries()
-        ):
-            return None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # One write call per line: POSIX O_APPEND keeps concurrent
-        # appenders (parallel bench sessions) from interleaving bytes.
-        with self.path.open("a") as handle:
-            handle.write(line + "\n")
+        with self._lock:
+            self._scan()
+            if self._holds(entry.entry_id):
+                return None
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # One write call per line: POSIX O_APPEND keeps concurrent
+            # appenders (parallel bench sessions) from interleaving bytes.
+            with self.path.open("a") as handle:
+                handle.write(line + "\n")
         return entry
 
     # -- reading -------------------------------------------------------
@@ -368,7 +388,7 @@ class RunLedger:
         try:
             handle = self.path.open("rb")
         except FileNotFoundError:
-            self._scanned, self._stored, self._file_id = 0, set(), None
+            self._scanned, self._stored, self._file_id = 0, {}, None
             return
         except OSError as exc:
             raise ObservabilityError(
@@ -378,12 +398,45 @@ class RunLedger:
             status = os.fstat(handle.fileno())
             file_id = (status.st_dev, status.st_ino)
             if file_id != self._file_id or status.st_size < self._scanned:
-                self._scanned, self._stored, self._file_id = 0, set(), file_id
+                self._scanned, self._stored, self._file_id = 0, {}, file_id
             start = self._scanned
             handle.seek(start)
             chunk = handle.read()
-        self._stored.update(_stored_ids(chunk))
+        for offset, entry_id in _stored_ids(chunk):
+            offsets = self._stored.setdefault(entry_id, [])
+            # Once per line: the unterminated tail is scanned again
+            # next time, and a line may hold one id twice.
+            if not offsets or offsets[-1] != start + offset:
+                offsets.append(start + offset)
         self._scanned = start + chunk.rfind(b"\n") + 1
+
+    def _holds(self, entry_id: str) -> bool:
+        """Whether :meth:`entries` yields ``entry_id``, as of the last scan.
+
+        Decodes only the lines the scan found ``entry_id`` in: any other
+        line holds either a different head id or was decoded by the
+        scan without yielding it.
+        """
+        offsets = self._stored.get(entry_id)
+        if not offsets:
+            return False
+        try:
+            handle = self.path.open("rb")
+        except FileNotFoundError:
+            return False
+        except OSError as exc:
+            raise ObservabilityError(
+                f"cannot read ledger {self.path}: {exc}"
+            ) from exc
+        with handle:
+            for offset in offsets:
+                handle.seek(offset)
+                if any(
+                    entry.entry_id == entry_id
+                    for entry in _decode(handle.readline())
+                ):
+                    return True
+        return False
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())

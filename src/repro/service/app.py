@@ -16,6 +16,9 @@ HTTP service.  This module is its core, in three layers:
   bit-identical to ``repro report`` output.  Every executed run is
   appended to the observability ledger (``--no-ledger`` opts out), so
   ``repro history`` and ``repro trend`` cover served traffic too.
+  One :class:`~repro.observability.ledger.RunLedger` and one
+  provenance snapshot serve the server's lifetime, so a job pays for
+  its own simulation, not for rescanning the history or running git.
 * :func:`build_server` / :func:`serve` -- a stdlib
   :class:`~http.server.ThreadingHTTPServer` wiring the service to
   :class:`~repro.service.handlers.ServiceHandler`.
@@ -25,15 +28,18 @@ See ``docs/SERVICE.md`` for the endpoint reference.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.provenance import Provenance
     from repro.telemetry.session import TelemetrySession
 
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, ObservabilityError, ServiceError
+from repro.observability.ledger import RunLedger
 from repro.runtime.cache import ResultCache
 from repro.service.queue import Job, JobQueue, JobRequest
 
@@ -168,13 +174,23 @@ def normalize_request(raw: Mapping[str, Any]) -> JobRequest:
 
 
 class SimulationService:
-    """The queue, the shared cache and the runners behind the HTTP API."""
+    """The queue, the shared cache and the runners behind the HTTP API.
+
+    ``ledger`` is the one run ledger every executed job appends to
+    (None under ``--no-ledger``); it keeps its scan state between jobs,
+    so an append reads only the bytes added since the last one.
+    """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.cache = ResultCache(
             self.config.cache_dir, max_bytes=self.config.max_bytes
         )
+        self.ledger = (
+            RunLedger(self.config.ledger_dir) if self.config.ledger else None
+        )
+        self._provenance: "Provenance | None" = None
+        self._provenance_lock = threading.Lock()
         self.queue = JobQueue(
             self._run_job,
             workers=self.config.workers,
@@ -210,10 +226,26 @@ class SimulationService:
         self._ledger_append(job, result)
         return result
 
+    def _job_provenance(self, job: Job) -> "Provenance":
+        """Return the server's provenance snapshot stamped for ``job``.
+
+        The snapshot is collected on the first executed job, not at
+        start-up, and reused for every later one: its git facts describe
+        the code this server loaded.  Each job gets its own timestamp
+        and ``argv``.
+        """
+        from repro.metrics.provenance import collect_provenance
+
+        with self._provenance_lock:
+            if self._provenance is None:
+                self._provenance = collect_provenance()
+        return self._provenance.restamped(
+            ["repro", "serve", "--job", job.id[:12]]
+        )
+
     def _run_report(
         self, job: Job, session: "TelemetrySession"
     ) -> dict[str, Any]:
-        from repro.metrics.provenance import collect_provenance
         from repro.metrics.report import build_report
 
         params = job.request.params
@@ -223,9 +255,7 @@ class SimulationService:
             sweep=bool(params["sweep"]),
             noise_scale=float(params["noise_scale"]),
             mismatch=float(params["mismatch"]),
-            provenance=collect_provenance(
-                argv=["repro", "serve", "--job", job.id[:12]]
-            ),
+            provenance=self._job_provenance(job),
             jobs=self.config.jobs,
             cache=self.cache,
             session=session,
@@ -269,22 +299,22 @@ class SimulationService:
         fail a simulation that already succeeded.  Report entries strip
         the provenance block into the entry's own provenance slot,
         matching ``repro report`` so identical runs content-address to
-        the same ledger entry.
+        the same ledger entry; sweep entries carry the job's stamp of
+        the server's provenance snapshot.
         """
-        if not self.config.ledger:
+        if self.ledger is None:
             return
-        from repro.errors import ObservabilityError
-        from repro.observability.ledger import RunLedger
-
         payload = dict(result)
         provenance = payload.pop("provenance", None)
+        if not isinstance(provenance, dict):
+            provenance = self._job_provenance(job).as_dict()
         design = payload.get("design")
         try:
-            RunLedger(self.config.ledger_dir).append(
+            self.ledger.append(
                 job.request.kind,
                 payload,
                 design=design if isinstance(design, str) else None,
-                provenance=provenance if isinstance(provenance, dict) else None,
+                provenance=provenance,
             )
         except (ObservabilityError, OSError) as exc:
             try:

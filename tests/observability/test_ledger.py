@@ -1,6 +1,7 @@
 """The run ledger: append-only JSONL, content addressing, tolerance."""
 
 import json
+import threading
 
 import pytest
 
@@ -286,6 +287,28 @@ class TestDedupScan:
         assert ledger.append("report", {"x": 2}, design="d", provenance=PROV)
         assert ledger.append("report", {"x": 2}, design="d", provenance=PROV) is None
 
+    def test_a_hit_is_confirmed_on_any_line_holding_the_id(self, tmp_path):
+        line = _line_for("report", {"x": 1}, "d")
+        # The torn line keeps its head but, merged with a foreign line,
+        # holds no entry; the id is stored by the whole line after it.
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True, exist_ok=True)
+        ledger.path.write_text(line[:120] + '{"schema": "other"}\n' + line)
+        assert len(list(ledger.entries())) == 1
+        assert ledger.append("report", {"x": 1}, design="d", provenance=PROV) is None
+
+    def test_a_duplicate_decodes_only_the_lines_holding_its_id(
+        self, tmp_path, loads_calls
+    ):
+        writer = RunLedger(tmp_path)
+        for index in range(3000):
+            writer.append("report", {"i": index}, design="d", provenance=PROV)
+        again = RunLedger(tmp_path).append(
+            "report", {"i": 7}, design="d", provenance=PROV
+        )
+        assert again is None
+        assert loads_calls == [_line_for("report", {"i": 7}, "d").strip()]
+
     def test_entry_without_its_final_newline_is_stored(self, tmp_path):
         ledger = RunLedger(tmp_path)
         ledger.path.parent.mkdir(parents=True, exist_ok=True)
@@ -329,3 +352,53 @@ class TestDedupScan:
         assert ledger.path.read_text() == (
             _line_for("report", {"x": 1}, 'q"\\µ') + _line_for("bench", {"x": 2})
         )
+
+
+class TestSharedInstance:
+    def test_threads_sharing_an_instance_store_each_id_once(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        n_threads, per_thread = 8, 40
+        # Entry-sized padding keeps each write long enough to race.
+        padding = "x" * 4096
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def payload(thread, step):
+            # Even steps are shared by every thread, odd ones are its own.
+            if step % 2 == 0:
+                return {"shared": step, "pad": padding}
+            return {"own": thread, "step": step, "pad": padding}
+
+        def worker(thread):
+            try:
+                barrier.wait()
+                for step in range(per_thread):
+                    ledger.append(
+                        "report", payload(thread, step), design="d", provenance=PROV
+                    )
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        raw = ledger.path.read_bytes()
+        assert raw.endswith(b"\n")
+        # A torn or interleaved line fails to decode here.
+        stored = [
+            LedgerEntry.from_dict(json.loads(line)).entry_id
+            for line in raw.split(b"\n")[:-1]
+        ]
+        expected = {
+            entry_id_for("report", "d", payload(thread, step))
+            for thread in range(n_threads)
+            for step in range(per_thread)
+        }
+        assert len(stored) == len(set(stored))
+        assert set(stored) == expected

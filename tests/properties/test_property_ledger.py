@@ -3,6 +3,8 @@
 ``RunLedger.append`` reads stored ids from line heads and scans only
 the bytes added since its last scan; whatever the file holds, it must
 deduplicate exactly when a full decode of the file finds the new id.
+A hit is confirmed by decoding only the lines the scan found the id
+in, which must agree with a decode of every line.
 """
 
 import json
@@ -145,3 +147,24 @@ class TestDedupEquivalence:
                 instance = RunLedger(ledger.directory) if fresh else ledger
                 result = instance.append(kind, payload, design=design, provenance=PROV)
                 assert (result is None) == duplicate
+
+
+class TestConfirmEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(st.lists(raw_lines, max_size=4), min_size=1, max_size=3),
+        probes=st.lists(contents, max_size=3),
+    )
+    def test_a_hit_is_confirmed_like_a_decode_of_every_line(self, batches, probes):
+        """Batches land on an unterminated tail, as a later append would."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ledger = RunLedger(tmp)
+            for batch in batches:
+                write_raw(ledger.path, "".join(batch))
+                ledger._scan()
+                stored = {entry.entry_id for entry in ledger.entries()}
+                candidates = set(ledger._stored) | {
+                    entry_id_for(kind, design, payload) for kind, design, payload in probes
+                }
+                for entry_id in candidates:
+                    assert ledger._holds(entry_id) == (entry_id in stored)

@@ -247,6 +247,118 @@ class TestRealSimulation:
         finally:
             harness.close()
 
+    def _report(self, harness, mismatch):
+        descriptor = harness.client.submit(
+            {
+                "design": "mod2",
+                "n_samples": 8192,
+                "sweep": False,
+                "mismatch": mismatch,
+            }
+        )
+        return descriptor["id"], harness.client.result(
+            descriptor["id"], timeout_s=120.0
+        )
+
+    def test_jobs_share_one_ledger_scan_and_provenance_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        import subprocess
+
+        from repro.metrics import provenance as provenance_module
+        from repro.observability import ledger as ledger_module
+        from repro.observability.ledger import RunLedger
+
+        history = RunLedger(str(tmp_path / "ledger"))
+        for index in range(50):
+            history.append(
+                "report", {"i": index}, design="d", provenance={"git_sha": "x"}
+            )
+        seeded = history.path.read_bytes()
+        chunks = []
+        real_stored_ids = ledger_module._stored_ids
+
+        def recording(chunk):
+            chunks.append(chunk)
+            return real_stored_ids(chunk)
+
+        git_calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            git_calls.append(args[0] if args else kwargs.get("args"))
+            return real_run(*args, **kwargs)
+
+        stamps = iter(f"2026-01-01T00:00:{second:02d}+00:00" for second in range(60))
+        monkeypatch.setattr(ledger_module, "_stored_ids", recording)
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        monkeypatch.setattr(provenance_module, "_utc_now", lambda: next(stamps))
+        harness = self._serve(tmp_path, ledger=True)
+        try:
+            # Provenance is collected by the first job, not at start-up.
+            assert git_calls == []
+            jobs = [self._report(harness, 0.0)]
+            calls_after_first = len(git_calls)
+            assert calls_after_first > 0
+            jobs += [self._report(harness, mismatch) for mismatch in (1e-3, 2e-3)]
+        finally:
+            harness.close()
+        assert len(git_calls) == calls_after_first
+        # Every byte is scanned once: the history by the first job,
+        # then only the line each job appended.
+        ledger = tmp_path / "ledger" / "ledger.jsonl"
+        written = ledger.read_bytes()
+        assert chunks[0] == seeded
+        assert b"".join(chunks) == written[: written.rindex(b"\n", 0, -1) + 1]
+        assert len(written.splitlines()) == 50 + 3
+        stamped = [manifest["provenance"] for _, manifest in jobs]
+        assert [p["argv"] for p in stamped] == [
+            ["repro", "serve", "--job", job_id[:12]] for job_id, _ in jobs
+        ]
+        assert len({p["timestamp"] for p in stamped}) == 3
+        assert len({p["git_sha"] for p in stamped}) == 1
+
+    def test_sees_entries_appended_by_another_ledger(self, tmp_path):
+        import dataclasses
+
+        from repro.observability.ledger import RunLedger
+        from repro.runtime.sweeps import sweep_spec_for_design
+
+        spec = sweep_spec_for_design(
+            "modulator2", n_samples=8192, levels_db=(-20.0, -6.0)
+        )
+        fields = dataclasses.asdict(spec)
+        fields["levels_db"] = list(spec.levels_db)
+        sweep = {"kind": "sweep", "spec": fields}
+        ledger = RunLedger(str(tmp_path / "ledger"))
+        harness = self._serve(tmp_path, ledger=True)
+        try:
+            self._report(harness, 0.0)
+            assert len(list(ledger.entries())) == 1
+            # A second server on the same ledger runs the sweep first.
+            other = _Harness(
+                SimulationService(
+                    ServiceConfig(
+                        cache_dir=str(tmp_path / "other-cache"),
+                        ledger_dir=str(tmp_path / "ledger"),
+                    )
+                )
+            )
+            try:
+                descriptor = other.client.submit(sweep)
+                other.client.result(descriptor["id"], timeout_s=120.0)
+            finally:
+                other.close()
+            assert [e.kind for e in ledger.entries()] == ["report", "sweep"]
+            descriptor = harness.client.submit(sweep)
+            assert descriptor["disposition"] == "new"
+            harness.client.result(descriptor["id"], timeout_s=120.0)
+            assert [e.kind for e in ledger.entries()] == ["report", "sweep"]
+            self._report(harness, 1e-3)
+            assert [e.kind for e in ledger.entries()] == ["report", "sweep", "report"]
+        finally:
+            harness.close()
+
     def test_no_ledger_opt_out(self, tmp_path):
         harness = self._serve(tmp_path, ledger=False)
         try:
